@@ -4,8 +4,8 @@ Strategy: write P'(n)/P(n)^s through the roots of P, expand each factor
 (1 - a_j/n)^(-s_j) by a Taylor polynomial of order N with explicit
 remainder, and regroup.  The value becomes a finite combination of shifted
 classical L-values of chi plus a rapidly convergent remainder sum.  The
-classical L-values are computed from the Hurwitz zeta function by
-Euler-Maclaurin summation.
+classical L-values are computed from mpmath's Hurwitz zeta function
+(Johansson, arXiv:1309.2877) and digamma function.
 
 All internal arithmetic runs in mpmath working precision (default 30
 digits): several acceptance checks are absolute comparisons at 1e-8 on
@@ -36,78 +36,28 @@ from .roots import find_roots
 
 DEFAULT_DPS = 30
 
-
-# -- Hurwitz zeta by Euler-Maclaurin ----------------------------------
-
-
-def _em_tail(s, x, J):
-    """Euler-Maclaurin correction terms at x, plus the first omitted term."""
-    corr = mp.power(x, 1 - s) / (s - 1) + mp.power(x, -s) / 2
-    for j in range(1, J + 1):
-        corr += (
-            mp.bernoulli(2 * j)
-            / mp.factorial(2 * j)
-            * mp.rf(s, 2 * j - 1)
-            * mp.power(x, -s - 2 * j + 1)
-        )
-    omitted = abs(
-        mp.bernoulli(2 * J + 2)
-        / mp.factorial(2 * J + 2)
-        * mp.rf(s, 2 * J + 1)
-        * mp.power(x, -s - 2 * J - 1)
-    )
-    return corr, omitted
+# the automatic Taylor order makes the remainder tail decay at least like
+# n^(-TAIL_DECAY_EXPONENT)
+TAIL_DECAY_EXPONENT = 12
 
 
-def hurwitz_zeta(s, a, tol=None):
-    """zeta(s, a) for a in (0, 1], continued to all s != 1."""
+# -- Hurwitz zeta from mpmath -----------------------------------------
+
+
+def hurwitz_zeta(s, a):
+    """zeta(s, a) for a in (0, 1], continued to all s != 1 (mpmath's zeta)."""
     s = mp.mpmathify(s)
     a = mp.mpmathify(a)
     if s == 1:
         raise PoleError("Hurwitz zeta has a pole at s = 1")
     if not (0 < a <= 1):
         raise DomainError("offset a must lie in (0, 1]")
-    if tol is None:
-        tol = mp.mpf(10) ** (-(mp.dps - 5))
-    sigma = mp.re(s)
-    J = max(15, int((2 - sigma) / 2) + 8)
-    K = max(10, int(abs(mp.im(s))) + 10)
-    best = None
-    for _ in range(8):
-        # for negative sigma the head grows like K^(1-sigma) while the
-        # result stays moderate; add digits to survive the cancellation
-        extra = int(max(0, (1 - sigma) * mp.log10(K + 1))) + 10
-        with mp.extradps(extra):
-            head = mp.fsum(mp.power(n + a, -s) for n in range(K))
-            corr, omitted = _em_tail(s, K + a, J)
-            best = head + corr
-        best = +best
-        if omitted < tol:
-            return best
-        K *= 2
-    return best
+    return mp.zeta(s, a)
 
 
-def _hurwitz_reg1(a, tol=None):
-    """lim_{s->1} (zeta(s, a) - 1/(s-1)); the pole term is dropped."""
-    a = mp.mpmathify(a)
-    if tol is None:
-        tol = mp.mpf(10) ** (-(mp.dps - 5))
-    J = 15
-    K = 10
-    best = None
-    for _ in range(8):
-        head = mp.fsum(1 / (n + a) for n in range(K))
-        x = K + a
-        corr = -mp.log(x) + 1 / (2 * x)
-        for j in range(1, J + 1):
-            corr += mp.bernoulli(2 * j) / (2 * j) * mp.power(x, -2 * j)
-        omitted = abs(mp.bernoulli(2 * J + 2) / (2 * J + 2) * mp.power(x, -2 * J - 2))
-        best = head + corr
-        if omitted < tol:
-            return best
-        K *= 2
-    return best
+def _hurwitz_reg1(a):
+    """lim_{s->1} (zeta(s, a) - 1/(s-1)) = -digamma(a); the pole term is dropped."""
+    return -mp.digamma(mp.mpmathify(a))
 
 
 def _chi_mp(chi: PeriodicFunction, n: int):
@@ -115,7 +65,7 @@ def _chi_mp(chi: PeriodicFunction, n: int):
     return mp.mpf(v.numerator) / v.denominator
 
 
-def _l_chi_mp(chi: PeriodicFunction, s, tol=None):
+def _l_chi_mp(chi: PeriodicFunction, s):
     """L-value of chi at s via period splitting into Hurwitz zetas."""
     N = chi.period
     s = mp.mpmathify(s)
@@ -127,13 +77,13 @@ def _l_chi_mp(chi: PeriodicFunction, s, tol=None):
         for a in range(1, N + 1):
             c = chi(a)
             if c != 0:
-                total += _chi_mp(chi, a) * _hurwitz_reg1(mp.mpf(a) / N, tol)
+                total += _chi_mp(chi, a) * _hurwitz_reg1(mp.mpf(a) / N)
         return total / N
     total = mp.mpc(0)
     for a in range(1, N + 1):
         c = chi(a)
         if c != 0:
-            total += _chi_mp(chi, a) * hurwitz_zeta(s, mp.mpf(a) / N, tol)
+            total += _chi_mp(chi, a) * hurwitz_zeta(s, mp.mpf(a) / N)
     return mp.power(N, -s) * total
 
 
@@ -212,7 +162,11 @@ class ContinuationPlan:
     ``roots`` and ``leading_coeff`` describe P; ``offset_A`` is the first
     summation index of the object being computed (the full series has
     offset 1).  ``taylor_order_N`` of None means: choose automatically
-    from Re(s) so the remainder sum converges with margin.
+    from the degree d and sigma = Re(s) as
+    ``max(d * (ceil(max(0, 2 - sigma)) + 2),
+    ceil(TAIL_DECAY_EXPONENT - 1 + d * (1 - sigma)))``,
+    so the remainder terms decay like n^(-(d(sigma - 1) + N + 2)) and
+    their tail like n^(-TAIL_DECAY_EXPONENT) or faster.
     """
 
     chi: PeriodicFunction
@@ -257,7 +211,11 @@ def make_plan(
 
 
 def _auto_taylor_order(d: int, sigma) -> int:
-    return d * (int(math.ceil(max(0.0, 2.0 - float(sigma)))) + 2)
+    sigma = float(sigma)
+    return max(
+        d * (math.ceil(max(0.0, 2.0 - sigma)) + 2),
+        math.ceil(TAIL_DECAY_EXPONENT - 1 + d * (1.0 - sigma)),
+    )
 
 
 def _monic_from_roots(roots):
@@ -277,9 +235,9 @@ def _working_offset(plan: ContinuationPlan, roots_mp) -> int:
     return a_w
 
 
-def _interior_l_value(chi, w, offset, tol):
+def _interior_l_value(chi, w, offset):
     """L-value of chi at w with the first offset-1 terms removed."""
-    value = _l_chi_mp(chi, w, tol)
+    value = _l_chi_mp(chi, w)
     for n in range(1, offset):
         c = chi(n)
         if c != 0:
@@ -299,14 +257,13 @@ def _continuation_mp(plan: ContinuationPlan, s):
     d = len(roots_mp)
     if d < 1:
         raise InvalidPolynomial("need at least one root (degree >= 1)")
-    tol = mp.mpf(10) ** (-(mp.dps - 8))
     lead = mp.mpf(plan.leading_coeff.numerator) / plan.leading_coeff.denominator
     scale = mp.power(lead, 1 - s)
 
     if all(a == 0 for a in roots_mp):
         # P = c X^d reduces to the classical L-function directly
         w = d * s - (d - 1)
-        return scale * d * _interior_l_value(chi, w, plan.offset_A, tol)
+        return scale * d * _interior_l_value(chi, w, plan.offset_A)
 
     a_w = _working_offset(plan, roots_mp)
     sigma = mp.re(s)
@@ -335,7 +292,7 @@ def _continuation_mp(plan: ContinuationPlan, s):
                 f"interior argument hits the pole at 1 (ell={ell}); "
                 "shift s or use a zero-sum chi"
             )
-        total += coeff * _interior_l_value(chi, w, a_w, tol)
+        total += coeff * _interior_l_value(chi, w, a_w)
 
     # remainder sum over n >= a_w, with an integral-comparison stopping rule
     w0 = d * s - (d - 1) + order_n + 1
@@ -375,7 +332,8 @@ def _continuation_mp(plan: ContinuationPlan, s):
         if n - a_w > plan.tail_max_terms:
             raise BudgetExceeded(
                 f"remainder tail not below {plan.tail_epsilon} after "
-                f"{n - a_w} terms"
+                f"{n - a_w} terms: last n={n - 1}, tail bound="
+                f"{mp.nstr(bound, 3)}, rho_bound={mp.nstr(rho_bound, 3)}"
             )
     total += remainder
 

@@ -210,6 +210,46 @@ def test_taylor_order_independence():
     assert abs(auto - forced) < 1e-10
 
 
+def _degree_one_closed_form(chi, b, a, s):
+    """Closed-form value of the series for P = aX + b, at 40 digits."""
+    with mp.workdps(40):
+        s = mp.mpmathify(s)
+        shift = mp.mpf(b) / a
+        n_period = chi.period
+        total = mp.fsum(
+            mp.mpf(chi(r).numerator) / chi(r).denominator * mpmath.zeta(s, (r + shift) / n_period)
+            for r in range(1, n_period + 1)
+        )
+        return complex(mp.power(a, 1 - s) * mp.power(n_period, -s) * total)
+
+
+@pytest.mark.parametrize(
+    "chi, b, a, s",
+    [
+        ("one", 4, 1, 0.375 - 8.4453j),
+        ("one", 1, 2, 0.5 + 20j),
+        ("one", 3, 2, -0.75 + 55j),
+        ("one", 5, 1, 2.5 - 1j),
+        ("one", 1, 3, 0.3),
+        ("chi3", 4, 1, -1.5),
+        ("chi3", 1, 2, 0.375 - 8.4453j),
+        ("chi3", 3, 1, 1.25 - 35j),
+        ("chi3", 2, 3, -0.5 + 55j),
+        ("chi4", 1, 1, 0.0),
+        ("chi4", 5, 2, 0.5 + 14.1j),
+        ("chi4", 2, 1, 1.5 - 55j),
+        ("chi4", 1, 3, -2.25 + 4j),
+    ],
+)
+def test_degree_one_closed_form(chi, b, a, s):
+    # P = aX + b: the series is a^(1-s) N^(-s) sum_r chi(r) zeta(s, (r + b/a)/N),
+    # summed here from mpmath's Hurwitz zeta without the Taylor expansion
+    chi = {"one": const_one, "chi3": chi3, "chi4": chi4}[chi]()
+    got = continuation_eval(make_plan(chi, poly=P(b, a)), s)
+    ref = _degree_one_closed_form(chi, b, a, s)
+    assert abs(got - ref) <= 1e-10 * abs(ref), (got, ref)
+
+
 def test_offset_consistency_numeric():
     poly = P(0, 1, 1)
     v1 = continuation_eval(make_plan(chi3(), poly=poly, offset_A=1), 0.5)
@@ -235,7 +275,7 @@ def test_taylor_order_too_small():
 
 def test_budget_exhaustion():
     plan = make_plan(chi3(), poly=P(0, 1, 1), tail_epsilon=1e-30, tail_max_terms=30)
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded, match=r"last n=\d+, tail bound=\S+, rho_bound=\S+"):
         continuation_eval(plan, 0.5)
 
 
