@@ -36,8 +36,6 @@ from .periodic import (
     PeriodicFunction,
     chi3,
     chi4,
-    chi_eval,
-    chi_from_table,
     const_one,
 )
 from .polynomials import Polynomial, poly_power
@@ -83,8 +81,6 @@ __all__ = [
     "check_shift_identity",
     "chi3",
     "chi4",
-    "chi_eval",
-    "chi_from_table",
     "congruence_scan",
     "const_one",
     "continuation_eval",

@@ -13,7 +13,6 @@ from typing import List, Optional, Sequence, Tuple
 from .errors import DegreeOverflow, DomainError
 from .finitefield import FpuElement, fpu_reduce, is_prime
 from .periodic import PeriodicFunction
-from .polynomials import Polynomial
 from .psi import PsiTable
 from .special_values import family_sequence
 
@@ -55,7 +54,6 @@ def congruence_scan(
     p: int,
     periods: int,
     table: PsiTable,
-    shape: Optional[Polynomial] = None,
 ) -> CongruenceReport:
     """Reduce family members mod p and test for period p-1 past the first term."""
     if not is_prime(p) or p <= 3:
@@ -68,7 +66,7 @@ def congruence_scan(
             f"need table degree {2 * m_max} for p={p}, periods={periods}; "
             f"have {table.max_degree}"
         )
-    family = family_sequence(chi, m_max, table, shape=shape)
+    family = family_sequence(chi, m_max, table)
     terms = tuple(fpu_reduce(member.value, p) for member in family)
 
     pm1_confirmed = all(

@@ -412,5 +412,6 @@ def direct_sum(
             return total
         if n - offset_A > max_terms:
             raise BudgetExceeded(
-                f"direct sum tail not below {epsilon} after {n - offset_A} terms"
+                f"direct sum tail not below {epsilon} after {n - offset_A} "
+                f"terms: last n={n - 1}, tail bound={tail_bound:.3g}"
             )

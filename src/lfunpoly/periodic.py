@@ -54,14 +54,6 @@ class PeriodicFunction:
         return max(abs(v) for v in self.values)
 
 
-def chi_from_table(period: int, values: Sequence) -> PeriodicFunction:
-    return PeriodicFunction(period, values)
-
-
-def chi_eval(chi: PeriodicFunction, n: int) -> Fraction:
-    return chi(n)
-
-
 def chi3() -> PeriodicFunction:
     """Primitive character of conductor 3: values 1, -1, 0."""
     return PeriodicFunction(3, (1, -1, 0), name="chi3")

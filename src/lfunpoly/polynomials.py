@@ -3,7 +3,7 @@
 Coefficients may be any objects supporting +, -, *, == (including
 comparison with the integers 0 and 1): ``fractions.Fraction``,
 :class:`~lfunpoly.finitefield.FpuElement`, integers mod p, or again
-:class:`Polynomial` (giving e.g. Q[u][X] for the parametric family).
+:class:`Polynomial` (a polynomial ring over a polynomial ring).
 The zero polynomial is the empty coefficient list; ``degree`` is then -1.
 """
 
@@ -133,9 +133,6 @@ class Polynomial:
         for a in reversed(self.coeffs):
             acc = acc * xc + a
         return acc
-
-    def map_coeffs(self, f) -> "Polynomial":
-        return Polynomial([f(c) for c in self.coeffs])
 
 
 def poly_power(p: Polynomial, m: int) -> Polynomial:

@@ -6,16 +6,21 @@ The value at 1-m of the series attached to (chi, P) with offset A is
 
 computed entirely over the rationals.  The u-family generalizes this to
 P = X(X+u), giving for each m a polynomial in u whose mod-p reductions
-feed the congruence experiment.
+feed the congruence experiment.  It has the binomial closed form
+
+    p_m(u) = (1/m) Psi((X(X+u))^m) = (1/m) sum_{j=0..m} C(m,j) mu_{2m-j} u^j
+
+in the moments mu_k of the form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional
+from math import comb
+from typing import List
 
-from .errors import DegreeOverflow, InvalidPolynomial
+from .errors import DegreeOverflow, DomainError, InvalidPolynomial
 from .periodic import PeriodicFunction
 from .polynomials import Polynomial, poly_power
 from .psi import PsiTable, psi_apply
@@ -72,10 +77,16 @@ def _prefix_sum(chi: PeriodicFunction, poly: Polynomial, m: int, upto: int) -> F
     return total
 
 
+def _check_table_chi(chi: PeriodicFunction, table: PsiTable) -> None:
+    if table.chi != chi:
+        raise DomainError(f"moment table was built for {table.chi!r}, not {chi!r}")
+
+
 def l_negative(req: LValueRequest, table: PsiTable) -> Fraction:
     """Exact value at s = 1-m for the request's (chi, P, A)."""
     if req.m < 1:
         raise InvalidPolynomial("m must be a positive integer")
+    _check_table_chi(req.chi, table)
     validate_poly(req.poly, req.offset_A)
     needed = req.m * req.poly.degree
     if needed > table.max_degree:
@@ -131,63 +142,26 @@ def scaling_identity_check(
 # -- parametric family ------------------------------------------------
 
 
-def u_monomial(e: int, c=1) -> Polynomial:
-    """The monomial c * u^e as a rational polynomial in u."""
-    coeffs = [Fraction(0)] * e + [Fraction(c)]
-    return Polynomial(coeffs)
+def family_pm(chi: PeriodicFunction, m: int, table: PsiTable) -> FamilyPolynomial:
+    """Member m of the family: the moment form on (X(X+u))^m, divided by m.
 
-
-def default_family_shape() -> Polynomial:
-    """X(X+u) = X^2 + u X, as a polynomial in X over Q[u]."""
-    return Polynomial([Polynomial(), u_monomial(1), u_monomial(0)])
-
-
-def _psi_apply_u(table: PsiTable, q: Polynomial) -> Polynomial:
-    """Apply the moment form in X, coefficient-wise over Q[u]."""
-    if q.degree > table.max_degree:
-        raise DegreeOverflow(
-            f"degree {q.degree} exceeds table degree {table.max_degree}"
-        )
-    total = Polynomial()
-    for k, c in enumerate(q.coeffs):
-        mu = table.moments[k]
-        if mu != 0 and not (isinstance(c, Polynomial) and c.is_zero()):
-            total = total + c * mu
-    return total
-
-
-def family_pm(
-    chi: PeriodicFunction,
-    m: int,
-    table: PsiTable,
-    shape: Optional[Polynomial] = None,
-) -> FamilyPolynomial:
-    """Member m of the family: apply the moment form to shape^m, divide by m.
-
-    The shape is any polynomial in X with coefficients in Q[u]; the default
-    is X(X+u).
+    (X(X+u))^m = sum_j C(m,j) u^j X^(2m-j), so u^j has coefficient
+    C(m,j) mu_{2m-j} / m; the table needs degree 2m.
     """
     if m < 1:
         raise InvalidPolynomial("m must be a positive integer")
-    if shape is None:
-        shape = default_family_shape()
-    q = poly_power(shape, m)
-    value = _psi_apply_u(table, q) * Fraction(1, m)
+    _check_table_chi(chi, table)
+    if 2 * m > table.max_degree:
+        raise DegreeOverflow(
+            f"degree {2 * m} exceeds table degree {table.max_degree}"
+        )
+    mu = table.moments
+    value = Polynomial([Fraction(comb(m, j), m) * mu[2 * m - j] for j in range(m + 1)])
     return FamilyPolynomial(m=m, value=value)
 
 
 def family_sequence(
-    chi: PeriodicFunction,
-    m_max: int,
-    table: PsiTable,
-    shape: Optional[Polynomial] = None,
+    chi: PeriodicFunction, m_max: int, table: PsiTable
 ) -> List[FamilyPolynomial]:
-    """Members 1 ... m_max, sharing the incremental powers of the shape."""
-    if shape is None:
-        shape = default_family_shape()
-    out: List[FamilyPolynomial] = []
-    q = Polynomial([u_monomial(0)])
-    for m in range(1, m_max + 1):
-        q = q * shape
-        out.append(FamilyPolynomial(m=m, value=_psi_apply_u(table, q) * Fraction(1, m)))
-    return out
+    """Members 1 ... m_max."""
+    return [family_pm(chi, m, table) for m in range(1, m_max + 1)]

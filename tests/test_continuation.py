@@ -299,6 +299,11 @@ def test_direct_sum_needs_margin():
         direct_sum(chi3(), P(0, 1, 1), 1, 1.05)
 
 
+def test_direct_sum_budget_exhaustion():
+    with pytest.raises(BudgetExceeded, match=r"after \d+ terms: last n=\d+, tail bound=\S+"):
+        direct_sum(chi3(), P(0, 1, 1), 1, 3.0, epsilon=1e-30, max_terms=30)
+
+
 def test_direct_sum_zeta_check():
     # chi = 1, P = X gives zeta(s); compare at s = 3
     got = direct_sum(const_one(), P(0, 1), 1, 3.0, epsilon=1e-10)

@@ -8,8 +8,6 @@ from lfunpoly import (
     PeriodicFunction,
     chi3,
     chi4,
-    chi_eval,
-    chi_from_table,
     const_one,
 )
 
@@ -33,13 +31,13 @@ def test_constant_not_zero_sum():
 
 
 def test_from_table_and_eval():
-    chi = chi_from_table(3, (1, -1, 0))
-    assert chi_eval(chi, 5) == -1
-    assert chi_eval(chi, 300) == 0
+    chi = PeriodicFunction(3, (1, -1, 0))
+    assert chi(5) == -1
+    assert chi(300) == 0
 
 
 def test_rational_values():
-    chi = chi_from_table(2, (Fraction(1, 2), Fraction(-1, 2)))
+    chi = PeriodicFunction(2, (Fraction(1, 2), Fraction(-1, 2)))
     assert chi.zero_sum
     assert chi(4) == Fraction(-1, 2)
 
@@ -63,5 +61,5 @@ def test_periodicity_property():
 
 
 def test_zero_sum_flag_matches_recomputation():
-    for chi in (chi3(), chi4(), const_one(), chi_from_table(4, (2, -1, 0, -1))):
+    for chi in (chi3(), chi4(), const_one(), PeriodicFunction(4, (2, -1, 0, -1))):
         assert chi.zero_sum == (sum(chi(n) for n in range(1, chi.period + 1)) == 0)

@@ -5,11 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lfunpoly import Polynomial, poly_power
-from lfunpoly.special_values import u_monomial
 
 
 def P(*coeffs):
     return Polynomial.from_rationals(coeffs)
+
+
+def u_monomial(e: int, c=1) -> Polynomial:
+    """The monomial c * u^e as a rational polynomial in u."""
+    return Polynomial([Fraction(0)] * e + [Fraction(c)])
 
 
 def test_basic_arithmetic():

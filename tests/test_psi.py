@@ -12,7 +12,6 @@ from lfunpoly import (
     check_shift_identity,
     chi3,
     chi4,
-    chi_from_table,
     const_one,
     psi_apply,
     psi_table,
@@ -51,7 +50,7 @@ def test_constant_function_gives_bernoulli():
 
 
 def test_zero_sum_kills_moment_zero():
-    for chi in (chi3(), chi4(), chi_from_table(2, (1, -1))):
+    for chi in (chi3(), chi4(), PeriodicFunction(2, (1, -1))):
         assert psi_table(chi, 3).moments[0] == 0
 
 

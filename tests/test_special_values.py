@@ -5,12 +5,16 @@ import pytest
 
 from lfunpoly import (
     DegreeOverflow,
+    DomainError,
     InvalidPolynomial,
     LValueRequest,
+    PeriodicFunction,
     Polynomial,
     a_offset_consistency,
     chi3,
     chi4,
+    congruence_scan,
+    const_one,
     family_pm,
     family_sequence,
     l_negative,
@@ -18,7 +22,6 @@ from lfunpoly import (
     scaling_identity_check,
     validate_poly,
 )
-from lfunpoly.special_values import u_monomial
 
 
 def P(*coeffs):
@@ -87,6 +90,17 @@ def test_bad_m(chi3_table):
         l_negative(LValueRequest(chi3(), P(0, 1, 1), 0), chi3_table)
 
 
+def test_table_for_another_chi_rejected(chi3_table):
+    with pytest.raises(DomainError):
+        l_negative(LValueRequest(chi4(), P(1, 1, 1), 3, offset_A=3), psi_table(chi3(), 20))
+    with pytest.raises(DomainError):
+        family_pm(chi4(), 2, chi3_table)
+    with pytest.raises(DomainError):
+        family_sequence(chi4(), 2, chi3_table)
+    with pytest.raises(DomainError):
+        congruence_scan(chi4(), 5, 1, chi3_table)
+
+
 # -- the u-family -----------------------------------------------------
 
 
@@ -116,14 +130,26 @@ def test_family_sequence_matches_family_pm(chi3_table):
         assert member.value == family_pm(chi3(), member.m, chi3_table).value
 
 
-def test_family_specializes_to_l_negative(chi3_table):
-    # substituting an integer u into p_m recovers -L(1-m) for P = X(X+u)
-    for u in (1, 2, 3):
-        poly = P(0, u, 1)
-        for m in range(1, 5):
-            pm = family_pm(chi3(), m, chi3_table).value
-            lval = l_negative(LValueRequest(chi3(), poly, m), chi3_table)
-            assert pm(Fraction(u)) == -lval
+def test_family_specializes_to_l_negative():
+    # substituting an integer u into p_m recovers -L(1-m) for P = X(X+u);
+    # m+1 points u = 0..m pin the whole degree-m polynomial
+    chis = (chi3(), chi4(), const_one(), PeriodicFunction(5, (1, 2, -1, 0, 3)))
+    for chi in chis:
+        table = psi_table(chi, 24)
+        for m in range(1, 13):
+            pm = family_pm(chi, m, table).value
+            assert pm.degree <= m
+            for u in range(m + 1):
+                lval = l_negative(LValueRequest(chi, P(0, u, 1), m), table)
+                assert pm(Fraction(u)) == -lval
+
+
+def test_family_degree_overflow():
+    short = psi_table(chi3(), 11)
+    with pytest.raises(DegreeOverflow):
+        family_pm(chi3(), 6, short)
+    with pytest.raises(DegreeOverflow):
+        family_sequence(chi3(), 6, short)
 
 
 def test_family_odd_in_u(chi3_table):
@@ -131,9 +157,3 @@ def test_family_odd_in_u(chi3_table):
     for m in range(1, 7):
         pm = family_pm(chi3(), m, chi3_table).value
         assert all(c == 0 for c in pm.coeffs[0::2])
-
-
-def test_custom_shape(chi3_table):
-    # shape X^2 + u^2 has only even X-powers: chi3 kills everything
-    shape = Polynomial([u_monomial(2), Polynomial(), u_monomial(0)])
-    assert family_pm(chi3(), 3, chi3_table, shape=shape).value.is_zero()
