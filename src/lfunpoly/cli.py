@@ -104,6 +104,7 @@ def cmd_lneg(args) -> List[Dict]:
     chi = parsing.parse_chi(args.chi)
     poly = parsing.parse_poly(args.poly)
     ms = _resolve_m_list(args)
+    special_values.validate_poly(poly, args.A)
     table = psi.psi_table(chi, max(ms) * poly.degree)
     records = []
     for m in ms:

@@ -191,6 +191,8 @@ def make_plan(
 
     if (poly is None) == (roots is None):
         raise DomainError("give exactly one of poly or roots")
+    if kwargs.get("offset_A", 1) < 1:
+        raise DomainError("offset_A must be >= 1")
     if poly is not None:
         from .roots import refine_roots
 

@@ -10,6 +10,7 @@ The zero polynomial is the empty coefficient list; ``degree`` is then -1.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, List, Sequence
 
 
@@ -136,9 +137,20 @@ class Polynomial:
 
 
 def poly_power(p: Polynomial, m: int) -> Polynomial:
-    """p**m by binary powering; degree multiplies by m."""
+    """p**m; degree multiplies by m.
+
+    Over int and Fraction coefficients, by Kronecker substitution: clear the
+    denominators, pack the integer coefficients into one integer as signed
+    k-bit digits, take one integer power and unpack the digits.  Every
+    coefficient of the cleared power is bounded by the l1 norm of the cleared
+    p to the m-th power, which sets k.  Int coefficients give int results.
+    Other coefficient rings (nested polynomials, F_p[u]/(u^p - u)) use binary
+    powering.
+    """
     if m < 0:
         raise ValueError("exponent must be non-negative")
+    if p.coeffs and all(type(c) in (int, Fraction) for c in p.coeffs):
+        return _kronecker_power(p.coeffs, m)
     result = Polynomial([1])
     base = p
     while m:
@@ -148,3 +160,27 @@ def poly_power(p: Polynomial, m: int) -> Polynomial:
         if m:
             base = base * base
     return result
+
+
+def _kronecker_power(coeffs: Sequence, m: int) -> Polynomial:
+    """(sum_i c_i X^i)^m for nonempty int/Fraction coefficients c_i."""
+    den = lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    k = (sum(map(abs, ints)) ** m).bit_length() + 1
+    packed = 0
+    for c in reversed(ints):
+        packed = (packed << k) + c
+    power = packed**m
+    mask, half = (1 << k) - 1, 1 << (k - 1)
+    digits = []
+    for _ in range((len(ints) - 1) * m + 1):
+        d = power & mask
+        power >>= k
+        if d >= half:
+            d -= 1 << k
+            power += 1
+        digits.append(d)
+    if all(type(c) is int for c in coeffs):
+        return Polynomial(digits)
+    den_m = den**m
+    return Polynomial([Fraction(d, den_m) for d in digits])

@@ -86,6 +86,8 @@ def l_negative(req: LValueRequest, table: PsiTable) -> Fraction:
     """Exact value at s = 1-m for the request's (chi, P, A)."""
     if req.m < 1:
         raise InvalidPolynomial("m must be a positive integer")
+    if req.offset_A < 1:
+        raise DomainError("offset_A must be >= 1")
     _check_table_chi(req.chi, table)
     validate_poly(req.poly, req.offset_A)
     needed = req.m * req.poly.degree

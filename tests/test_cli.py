@@ -145,11 +145,23 @@ def test_missing_m_is_parse_error(capsys):
     assert "exactly one" in json.loads(err)["detail"]
 
 
-def test_domain_error_exit_code(capsys):
-    # polynomial vanishing at a positive integer
-    code, _, err = run(capsys, "lneg", "--chi", "chi3", "--poly=-2,1", "--m", "2")
+@pytest.mark.parametrize(
+    "argv, detail",
+    [
+        (["--poly=-2,1", "--m", "2"], "vanishes at n=2"),
+        (["--poly", "0", "--m", "2"], "non-constant"),
+        (["--poly", "0,1,1", "--m", "2", "--A", "0"], "offset_A must be >= 1"),
+        (["--poly", "0,1,1", "--m", "2", "--A", "-3"], "offset_A must be >= 1"),
+    ],
+    ids=["root-at-2", "zero-poly", "A-zero", "A-negative"],
+)
+def test_domain_error_exit_code(capsys, argv, detail):
+    code, out, err = run(capsys, "lneg", "--chi", "chi3", *argv)
     assert code == EXIT_DOMAIN
-    assert json.loads(err)["error"] == "domain"
+    assert out == ""
+    record = json.loads(err)
+    assert record["error"] == "domain"
+    assert detail in record["detail"]
 
 
 def test_budget_exit_code(capsys):

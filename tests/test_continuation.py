@@ -284,6 +284,11 @@ def test_make_plan_argument_validation():
         make_plan(chi3())
     with pytest.raises(DomainError):
         make_plan(chi3(), poly=P(0, 1, 1), roots=[0, -1])
+    for offset_A in (0, -3):
+        with pytest.raises(DomainError, match="offset_A must be >= 1"):
+            make_plan(chi3(), poly=P(0, 1, 1), offset_A=offset_A)
+        with pytest.raises(DomainError, match="offset_A must be >= 1"):
+            make_plan(chi3(), roots=[0, -1], offset_A=offset_A)
 
 
 # -- direct summation oracle ------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lfunpoly import Polynomial, poly_power
+from lfunpoly import FpuElement, Polynomial, poly_power
 
 
 def P(*coeffs):
@@ -74,13 +74,31 @@ def test_product_rule(p, q):
     assert lhs == rhs
 
 
-@settings(max_examples=40, deadline=None)
-@given(small_polys, st.integers(min_value=0, max_value=6))
-def test_power_matches_repeated_multiplication(p, m):
+def _repeated_product(p: Polynomial, m: int) -> Polynomial:
     expected = Polynomial([1])
     for _ in range(m):
         expected = expected * p
-    assert poly_power(p, m) == expected
+    return expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_polys, st.integers(min_value=0, max_value=20))
+def test_power_matches_repeated_multiplication(p, m):
+    assert poly_power(p, m) == _repeated_product(p, m)
+
+
+def test_power_of_integer_polynomial():
+    p = Polynomial([3, -1, 2])
+    for m in range(21):
+        q = poly_power(p, m)
+        assert q == _repeated_product(p, m)
+        assert all(type(c) is int for c in q.coeffs)
+
+
+def test_power_over_fpu_coefficients():
+    p = Polynomial([FpuElement(5, [1, 2]), FpuElement(5, [0, 0, 3]), FpuElement.monomial(5, 4)])
+    for m in range(8):
+        assert poly_power(p, m) == _repeated_product(p, m)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -9,12 +10,14 @@ from lfunpoly import (
     DegreeOverflow,
     PeriodicFunction,
     Polynomial,
+    TruncatedSeries,
     check_shift_identity,
     chi3,
     chi4,
     const_one,
     psi_apply,
     psi_table,
+    series_divide,
 )
 
 # values of the conductor-3 moment table, from the generating series
@@ -130,3 +133,35 @@ def test_random_zero_sum_shift_identity():
             [rng.randrange(-8, 9) for _ in range(rng.randrange(1, 9))]
         )
         assert check_shift_identity(table, poly)
+
+
+def _series_moments(chi, max_degree):
+    """-m! [t^m] of t sum chi(n) e^{nt} / (1 - e^{Nt}), by power-series division."""
+    order = max_degree + 1
+    numerator = TruncatedSeries.zero(order)
+    for n in range(1, chi.period + 1):
+        numerator = numerator + TruncatedSeries.exp(n, order).scale(chi(n))
+    numerator = TruncatedSeries.t(order) * numerator
+    denominator = TruncatedSeries.one(order) - TruncatedSeries.exp(chi.period, order)
+    quotient = series_divide(numerator, denominator)
+    return [-math.factorial(m) * quotient[m] for m in range(max_degree + 1)]
+
+
+@pytest.mark.parametrize("max_degree", [0, 1, 2, 3, 80])
+@pytest.mark.parametrize(
+    "chi",
+    [
+        const_one(),
+        chi3(),
+        chi4(),
+        PeriodicFunction(5, (1, 2, -1, 0, 3)),
+        PeriodicFunction(3, (Fraction(1, 2), Fraction(-1, 3), 0)),
+        PeriodicFunction(2, (0, 0)),
+        PeriodicFunction(7, (2, 0, -1, Fraction(5, 7), 0, 3, -4)),
+    ],
+    ids=repr,
+)
+def test_moments_match_series_division(chi, max_degree):
+    table = psi_table(chi, max_degree)
+    assert table.max_degree == max_degree
+    assert list(table.moments) == _series_moments(chi, max_degree)

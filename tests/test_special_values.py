@@ -90,6 +90,12 @@ def test_bad_m(chi3_table):
         l_negative(LValueRequest(chi3(), P(0, 1, 1), 0), chi3_table)
 
 
+def test_bad_offset(chi3_table):
+    for offset_A in (0, -3):
+        with pytest.raises(DomainError, match="offset_A must be >= 1"):
+            l_negative(LValueRequest(chi3(), P(0, 1, 1), 2, offset_A=offset_A), chi3_table)
+
+
 def test_table_for_another_chi_rejected(chi3_table):
     with pytest.raises(DomainError):
         l_negative(LValueRequest(chi4(), P(1, 1, 1), 3, offset_A=3), psi_table(chi3(), 20))
