@@ -14,8 +14,6 @@ from .continuation import (
     hurwitz_zeta,
     l_chi_numeric,
     make_plan,
-    taylor_coefficient,
-    taylor_remainder,
 )
 from .errors import (
     BadPrimeError,
@@ -39,17 +37,15 @@ from .periodic import (
     const_one,
 )
 from .polynomials import Polynomial, poly_power
-from .psi import PsiTable, check_shift_identity, psi_apply, psi_table
+from .psi import PsiTable, psi_apply, psi_table
 from .roots import find_roots, refine_roots
 from .series import TruncatedSeries, series_divide
 from .special_values import (
     FamilyPolynomial,
     LValueRequest,
-    a_offset_consistency,
     family_pm,
     family_sequence,
     l_negative,
-    scaling_identity_check,
     validate_poly,
 )
 
@@ -77,8 +73,6 @@ __all__ = [
     "PsiTable",
     "TruncatedSeries",
     "ValuationError",
-    "a_offset_consistency",
-    "check_shift_identity",
     "chi3",
     "chi4",
     "congruence_scan",
@@ -98,9 +92,6 @@ __all__ = [
     "psi_apply",
     "psi_table",
     "refine_roots",
-    "scaling_identity_check",
     "series_divide",
-    "taylor_coefficient",
-    "taylor_remainder",
     "validate_poly",
 ]

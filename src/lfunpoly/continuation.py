@@ -1,11 +1,14 @@
 """Numeric evaluation of the series attached to (chi, P) anywhere in C.
 
-Strategy: write P'(n)/P(n)^s through the roots of P, expand each factor
-(1 - a_j/n)^(-s_j) by a Taylor polynomial of order N with explicit
-remainder, and regroup.  The value becomes a finite combination of shifted
-classical L-values of chi plus a rapidly convergent remainder sum.  The
-classical L-values are computed from mpmath's Hurwitz zeta function
-(Johansson, arXiv:1309.2877) and digamma function.
+Strategy: through the roots a_j of P, and since P'/P = sum_j 1/(n - a_j),
+P'(n) P(n)^(-s) is lead^(1-s) n^(-(d s - (d-1))) times one power series
+in x = 1/n, B(x) sum_j 1/(1 - x a_j) with B(x) = prod_j (1 - x a_j)^(-(s-1)).
+B's coefficients come from the recurrence of its logarithmic derivative and
+the second factor's from the power sums of the roots.  Cut at order N, the
+series turns the value into a finite combination of shifted classical
+L-values of chi plus a rapidly convergent remainder sum.  The classical
+L-values are computed from mpmath's Hurwitz zeta function (Johansson,
+arXiv:1309.2877) and digamma function.
 
 All internal arithmetic runs in mpmath working precision (default 30
 digits): several acceptance checks are absolute comparisons at 1e-8 on
@@ -19,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from mpmath import mp
 
@@ -93,63 +96,30 @@ def l_chi_numeric(chi: PeriodicFunction, s, dps: int = DEFAULT_DPS) -> complex:
         return complex(_l_chi_mp(chi, s))
 
 
-# -- Taylor machinery for the product of root factors -----------------
-
-
-def _scalar_taylor(a, s, upto):
-    """Coefficients of (1 - x a)^(-s) up to x^upto."""
-    b = [mp.mpc(1)]
-    for k in range(1, upto + 1):
-        b.append(b[-1] * (-s - (k - 1)) / k * (-a))
-    return b
-
-
-def _convolve(a, b, upto):
-    out = [mp.mpc(0)] * (upto + 1)
-    for i, ai in enumerate(a[: upto + 1]):
-        if ai == 0:
-            continue
-        for j in range(min(len(b), upto + 1 - i)):
-            out[i + j] += ai * b[j]
-    return out
+# -- Taylor series of the summand in x = 1/n --------------------------
 
 
 def _product_taylor(roots, svec, upto):
-    """Coefficients c_0 ... c_upto of prod_j (1 - x a_j)^(-s_j)."""
-    acc = [mp.mpc(1)]
-    for a, s in zip(roots, svec):
-        acc = _convolve(acc, _scalar_taylor(a, s, upto), upto)
-    return acc
+    """Coefficients c_0 ... c_upto of prod_j (1 - x a_j)^(-s_j).
+
+    The logarithmic derivative of the product is sum_k q_k x^(k-1) with
+    q_k = sum_j s_j a_j^k, so c_0 = 1 and n c_n = sum_{k=1..n} q_k c_{n-k}.
+    """
+    q = [mp.fsum(s * a**k for a, s in zip(roots, svec)) for k in range(upto + 1)]
+    c = [mp.mpc(1)]
+    for n in range(1, upto + 1):
+        c.append(mp.fdot(q[1 : n + 1], reversed(c)) / n)
+    return c
 
 
-def taylor_coefficient(ell: int, roots: Sequence[complex], svec: Sequence[complex]) -> complex:
-    """Order-ell Taylor coefficient of the product of root factors."""
-    if ell < 0:
-        raise DomainError("ell must be non-negative")
-    roots_mp = [mp.mpc(a) for a in roots]
-    svec_mp = [mp.mpc(s) for s in svec]
-    return complex(_product_taylor(roots_mp, svec_mp, ell)[ell])
+def _summand_taylor(roots, s, upto):
+    """Coefficients of prod_j (1 - x a_j)^(-(s-1)) * sum_j 1/(1 - x a_j) to x^upto.
 
-
-def taylor_remainder(
-    x: float,
-    roots: Sequence[complex],
-    svec: Sequence[complex],
-    order: int,
-) -> complex:
-    """Remainder after the order-N Taylor polynomial, from its defining relation."""
-    roots_mp = [mp.mpc(a) for a in roots]
-    svec_mp = [mp.mpc(s) for s in svec]
-    x = mp.mpf(x)
-    delta = 1 / (2 * max(abs(a) for a in roots_mp))
-    if x == 0 or abs(x) > delta:
-        raise DomainError(f"x must be nonzero with |x| <= {float(delta)}")
-    product = mp.mpc(1)
-    for a, s in zip(roots_mp, svec_mp):
-        product *= mp.power(1 - x * a, -s)
-    coeffs = _product_taylor(roots_mp, svec_mp, order)
-    partial = mp.fsum(c * x**ell for ell, c in enumerate(coeffs))
-    return complex((product - partial) / x ** (order + 1))
+    Times lead^(1-s) n^(-(d s - (d-1))), at x = 1/n, this is P'(n) P(n)^(-s).
+    """
+    b = _product_taylor(roots, [s - 1] * len(roots), upto)
+    p = [mp.fsum(a**k for a in roots) for k in range(upto + 1)]
+    return [mp.fdot(p[: ell + 1], reversed(b[: ell + 1])) for ell in range(upto + 1)]
 
 
 # -- continuation evaluator -------------------------------------------
@@ -279,15 +249,9 @@ def _continuation_mp(plan: ContinuationPlan, s):
             f"taylor_order_N={order_n} too small for Re(s)={float(sigma)}"
         )
 
-    # per-slot Taylor coefficients: slot j carries exponent s, the rest s-1
-    per_j: List[List] = []
-    for j in range(d):
-        svec = [s if k == j else s - 1 for k in range(d)]
-        per_j.append(_product_taylor(roots_mp, svec, order_n))
-
+    coeffs = _summand_taylor(roots_mp, s, order_n)
     total = mp.mpc(0)
-    for ell in range(order_n + 1):
-        coeff = mp.fsum(per_j[j][ell] for j in range(d))
+    for ell, coeff in enumerate(coeffs):
         w = d * s - (d - 1) + ell
         if w == 1 and not chi.zero_sum:
             raise PoleError(
@@ -316,14 +280,9 @@ def _continuation_mp(plan: ContinuationPlan, s):
                     base = mp.mpc(1)
                     for a in roots_mp:
                         base *= mp.power(1 - x * a, -(s - 1))
-                    rho_sum = mp.mpc(0)
-                    xn1 = x ** (order_n + 1)
-                    for j, a in enumerate(roots_mp):
-                        product = base / (1 - x * a)
-                        partial = mp.fsum(
-                            ck * x**k for k, ck in enumerate(per_j[j])
-                        )
-                        rho_sum += (product - partial) / xn1
+                    product = base * mp.fsum(1 / (1 - x * a) for a in roots_mp)
+                    partial = mp.fsum(ck * x**k for k, ck in enumerate(coeffs))
+                    rho_sum = (product - partial) / x ** (order_n + 1)
                 rho_sum = +rho_sum
                 rho_bound = max(rho_bound, abs(rho_sum))
                 remainder += _chi_mp(chi, n) * mp.power(n, -w0) * rho_sum

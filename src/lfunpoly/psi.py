@@ -25,7 +25,7 @@ from math import lcm
 from operator import add
 from typing import List, Tuple
 
-from .errors import DegreeOverflow
+from .errors import DegreeOverflow, DomainError
 from .periodic import PeriodicFunction
 from .polynomials import Polynomial
 
@@ -76,7 +76,7 @@ def psi_table(chi: PeriodicFunction, max_degree: int) -> PsiTable:
     N * lcm(den B_k) * lcm(den chi), turned into a single Fraction.
     """
     if max_degree < 0:
-        raise ValueError("max_degree must be >= 0")
+        raise DomainError("max_degree must be >= 0")
     N = chi.period
     chi_den = lcm(*(v.denominator for v in chi.values))
     bernoulli = _bernoulli_numbers(max_degree)
@@ -119,20 +119,3 @@ def psi_apply(table: PsiTable, q: Polynomial) -> Fraction:
         if c != 0:
             total += Fraction(c) * table.moments[k]
     return total
-
-
-def check_shift_identity(table: PsiTable, e: Polynomial) -> bool:
-    """Exact check of the period-shift identity for the polynomial e.
-
-    Applying the form to e(N+X) minus applying it to e must equal
-    sum_{n=1..N} chi(n) e'(n).
-    """
-    chi = table.chi
-    if e.degree > table.max_degree:
-        raise DegreeOverflow(
-            f"degree {e.degree} exceeds table degree {table.max_degree}"
-        )
-    lhs = psi_apply(table, e.shift(chi.period)) - psi_apply(table, e)
-    de = e.derivative()
-    rhs = sum((chi(n) * de(Fraction(n)) for n in range(1, chi.period + 1)), Fraction(0))
-    return lhs == rhs

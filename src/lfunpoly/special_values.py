@@ -102,45 +102,6 @@ def l_negative(req: LValueRequest, table: PsiTable) -> Fraction:
     return value
 
 
-def a_offset_consistency(
-    chi: PeriodicFunction,
-    poly: Polynomial,
-    table: PsiTable,
-    m: int,
-    a1: int,
-    a2: int,
-) -> bool:
-    """Exact check that changing the offset only shifts by a finite sum."""
-    if a1 > a2:
-        raise InvalidPolynomial("need a1 <= a2")
-    v1 = l_negative(LValueRequest(chi, poly, m, offset_A=a1), table)
-    v2 = l_negative(LValueRequest(chi, poly, m, offset_A=a2), table)
-    dp = poly.derivative()
-    middle = Fraction(0)
-    for n in range(a1, a2):
-        c = chi(n)
-        if c != 0:
-            middle += c * dp(Fraction(n)) * poly(Fraction(n)) ** (m - 1)
-    return v1 == v2 + middle
-
-
-def scaling_identity_check(
-    chi: PeriodicFunction,
-    poly: Polynomial,
-    c: Fraction,
-    m: int,
-    table: PsiTable,
-) -> bool:
-    """Check value(c*P, 1-m) = c^m * value(P, 1-m), exactly."""
-    c = Fraction(c)
-    if c <= 0:
-        raise InvalidPolynomial("scale factor must be positive")
-    scaled = poly * c
-    lhs = l_negative(LValueRequest(chi, scaled, m), table)
-    rhs = c**m * l_negative(LValueRequest(chi, poly, m), table)
-    return lhs == rhs
-
-
 # -- parametric family ------------------------------------------------
 
 

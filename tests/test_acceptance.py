@@ -13,7 +13,6 @@ from lfunpoly import (
     LValueRequest,
     PeriodicFunction,
     Polynomial,
-    check_shift_identity,
     chi3,
     chi4,
     congruence_scan,
@@ -27,6 +26,7 @@ from lfunpoly import (
     period_detect,
     psi_table,
 )
+from checks import check_shift_identity
 
 
 def P(*coeffs):

@@ -24,9 +24,9 @@ from lfunpoly import (
     l_chi_numeric,
     l_negative,
     make_plan,
-    taylor_coefficient,
-    taylor_remainder,
 )
+from lfunpoly.continuation import _summand_taylor
+from checks import taylor_coefficient, taylor_remainder
 
 
 def P(*coeffs):
@@ -129,7 +129,7 @@ def test_taylor_coefficient_against_composition_sum():
     roots = [-1 + 0j, 0.5j, -0.5j]
     svec = [2.5 + 0j, 1.5 + 0j, 1.5 + 1j]
     with mp.workdps(30):
-        for ell in range(5):
+        for ell in range(13):
             got = taylor_coefficient(ell, roots, svec)
             assert abs(got - _coeff_oracle(ell, roots, svec)) < 1e-12
 
@@ -171,6 +171,31 @@ def test_taylor_remainder_domain():
             taylor_remainder(0.9, [-1 + 0j], [2], 3)  # outside |x| <= 1/2
         with pytest.raises(DomainError):
             taylor_remainder(0.0, [-1 + 0j], [2], 3)
+
+
+@pytest.mark.parametrize(
+    "roots",
+    [
+        [-1.5 + 0j],
+        [-1 + 0j, 0.5 + 0.75j],
+        [-0.5 + 1j, -0.5 - 1j, 2 + 0j],
+        [1j, -1j, -2 + 0.25j, 0.75 + 0j],
+    ],
+)
+@pytest.mark.parametrize("s", [1, -2, 0.5 + 3j, -1.25 - 0.5j, 2.5])
+def test_summand_series_is_sum_over_slots(roots, s):
+    # B(x) sum_j 1/(1 - x a_j) is the sum over j of the products with
+    # exponent s on root j and s - 1 on the others
+    with mp.workdps(30):
+        got = _summand_taylor([mp.mpc(a) for a in roots], mp.mpc(s), 20)
+        for ell in range(21):
+            want = sum(
+                taylor_coefficient(
+                    ell, roots, [s if k == j else s - 1 for k in range(len(roots))]
+                )
+                for j in range(len(roots))
+            )
+            assert complex(got[ell]) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 # -- continuation evaluator -------------------------------------------

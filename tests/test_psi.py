@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from lfunpoly import (
     DegreeOverflow,
+    DomainError,
     PeriodicFunction,
     Polynomial,
     TruncatedSeries,
-    check_shift_identity,
     chi3,
     chi4,
     const_one,
@@ -19,6 +19,7 @@ from lfunpoly import (
     psi_table,
     series_divide,
 )
+from checks import check_shift_identity
 
 # values of the conductor-3 moment table, from the generating series
 CHI3_ODD_MOMENTS = [
@@ -74,6 +75,11 @@ def test_degree_overflow(chi3_table):
     q = Polynomial.from_rationals([0] * 41 + [1])
     with pytest.raises(DegreeOverflow):
         psi_apply(chi3_table, q)
+
+
+def test_negative_max_degree_rejected():
+    with pytest.raises(DomainError):
+        psi_table(chi3(), -1)
 
 
 def test_shift_identity_square(chi3_table):

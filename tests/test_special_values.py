@@ -10,7 +10,6 @@ from lfunpoly import (
     LValueRequest,
     PeriodicFunction,
     Polynomial,
-    a_offset_consistency,
     chi3,
     chi4,
     congruence_scan,
@@ -19,9 +18,9 @@ from lfunpoly import (
     family_sequence,
     l_negative,
     psi_table,
-    scaling_identity_check,
     validate_poly,
 )
+from checks import a_offset_consistency, scaling_identity_check
 
 
 def P(*coeffs):
