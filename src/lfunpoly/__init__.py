@@ -46,6 +46,7 @@ from .special_values import (
     family_pm,
     family_sequence,
     l_negative,
+    l_negative_values,
     validate_poly,
 )
 
@@ -86,6 +87,7 @@ __all__ = [
     "hurwitz_zeta",
     "l_chi_numeric",
     "l_negative",
+    "l_negative_values",
     "make_plan",
     "period_detect",
     "poly_power",

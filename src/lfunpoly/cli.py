@@ -106,22 +106,19 @@ def cmd_lneg(args) -> List[Dict]:
     ms = _resolve_m_list(args)
     special_values.validate_poly(poly, args.A)
     table = psi.psi_table(chi, max(ms) * poly.degree)
-    records = []
-    for m in ms:
-        req = special_values.LValueRequest(chi=chi, poly=poly, m=m, offset_A=args.A)
-        value = special_values.l_negative(req, table)
-        records.append(
-            {
-                "kind": "l_negative",
-                "chi": args.chi,
-                "poly": args.poly,
-                "m": m,
-                "s": 1 - m,
-                "A": args.A,
-                "value": parsing.format_rational(value),
-            }
-        )
-    return records
+    values = special_values.l_negative_values(chi, poly, ms, args.A, table)
+    return [
+        {
+            "kind": "l_negative",
+            "chi": args.chi,
+            "poly": args.poly,
+            "m": m,
+            "s": 1 - m,
+            "A": args.A,
+            "value": parsing.format_rational(value),
+        }
+        for m, value in zip(ms, values)
+    ]
 
 
 def cmd_family(args) -> List[Dict]:

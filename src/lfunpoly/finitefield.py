@@ -7,7 +7,6 @@ u^p = u is applied eagerly, so any exponent e >= p folds down to
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence, Tuple
 
 from .errors import BadPrimeError, DomainError
@@ -146,15 +145,10 @@ def fpu_reduce(q: Polynomial, p: int) -> FpuElement:
     """
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
-    out = FpuElement(p)
-    for e, c in enumerate(q.coeffs):
-        c = Fraction(c)
-        if c == 0:
-            continue
+    residues = []
+    for c in q.coeffs:
         den = c.denominator % p
         if den == 0:
             raise BadPrimeError(f"{p} divides the denominator of {c}")
-        residue = (c.numerator % p) * pow(den, -1, p) % p
-        if residue:
-            out = out + FpuElement.monomial(p, e, residue)
-    return out
+        residues.append(c.numerator * pow(den, -1, p))
+    return FpuElement(p, residues)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, List, Sequence
+from typing import Iterable, List, Sequence, Tuple
 
 
 class Polynomial:
@@ -162,10 +162,15 @@ def poly_power(p: Polynomial, m: int) -> Polynomial:
     return result
 
 
+def clear_denominators(coeffs: Sequence) -> Tuple[List[int], int]:
+    """The integers den * c_i and the least common denominator den of int/Fraction c_i."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
 def _kronecker_power(coeffs: Sequence, m: int) -> Polynomial:
     """(sum_i c_i X^i)^m for nonempty int/Fraction coefficients c_i."""
-    den = lcm(*(c.denominator for c in coeffs))
-    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    ints, den = clear_denominators(coeffs)
     k = (sum(map(abs, ints)) ** m).bit_length() + 1
     packed = 0
     for c in reversed(ints):

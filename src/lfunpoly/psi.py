@@ -14,20 +14,24 @@ integers as
     mu_m = sum_k C(m,k) B_k N^(k-1) S_{m-k},   S_j = sum_{a=1..N} chi(a) a^j,
 
 with the Bernoulli numbers B_k (B_1 = -1/2) from the integer tangent-number
-recurrence of Brent and Harvey (arXiv:1108.0286).
+recurrence of Brent and Harvey (arXiv:1108.0286).  The table keeps the
+integer numerators of all mu_m over one common denominator D, so the form on
+a polynomial q = (sum_k c_k X^k) / den with integer c_k is one integer dot
+product: Psi(q) = (sum_k c_k numerators[k]) / (den * D), a single Fraction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
-from operator import add
+from operator import add, mul
 from typing import List, Tuple
 
 from .errors import DegreeOverflow, DomainError
 from .periodic import PeriodicFunction
-from .polynomials import Polynomial
+from .polynomials import Polynomial, clear_denominators
 
 # Unused here, but perfbench/tracer.py wraps ``psi.series_divide`` by name for
 # its series.divide span, so the name must stay importable from this module.
@@ -36,11 +40,17 @@ from .series import series_divide  # noqa: F401
 
 @dataclass(frozen=True)
 class PsiTable:
-    """Moments mu_m for m = 0 ... max_degree, computed once and shared."""
+    """Moments mu_m = numerators[m] / denominator for m = 0 ... max_degree."""
 
     chi: PeriodicFunction
     max_degree: int
-    moments: Tuple[Fraction, ...]
+    numerators: Tuple[int, ...]
+    denominator: int
+
+    @cached_property
+    def moments(self) -> Tuple[Fraction, ...]:
+        """The moments as reduced Fractions, built on first use."""
+        return tuple(Fraction(n, self.denominator) for n in self.numerators)
 
 
 def _tangent_numbers(n: int) -> List[int]:
@@ -73,7 +83,7 @@ def psi_table(chi: PeriodicFunction, max_degree: int) -> PsiTable:
     """The moments mu_0 ... mu_max_degree as generalized Bernoulli numbers.
 
     Every mu_m is one integer sum over the common denominator
-    N * lcm(den B_k) * lcm(den chi), turned into a single Fraction.
+    N * lcm(den B_k) * lcm(den chi); the table keeps those sums unreduced.
     """
     if max_degree < 0:
         raise DomainError("max_degree must be >= 0")
@@ -93,8 +103,7 @@ def psi_table(chi: PeriodicFunction, max_degree: int) -> PsiTable:
             for j in range(max_degree + 1):
                 power_sums[j] += c
                 c *= a
-    den = N * b_den * chi_den
-    moments = []
+    numerators = []
     binomials = [1]  # row m of Pascal's triangle
     for m in range(max_degree + 1):
         if m:
@@ -104,18 +113,15 @@ def psi_table(chi: PeriodicFunction, max_degree: int) -> PsiTable:
             if k > m:
                 break
             total += binomials[k] * bk * power_sums[m - k]
-        moments.append(Fraction(total, den))
-    return PsiTable(chi=chi, max_degree=max_degree, moments=tuple(moments))
+        numerators.append(total)
+    return PsiTable(chi, max_degree, tuple(numerators), N * b_den * chi_den)
 
 
 def psi_apply(table: PsiTable, q: Polynomial) -> Fraction:
-    """Apply the linear form to a rational polynomial via its moments."""
+    """Apply the linear form to a polynomial with int/Fraction coefficients."""
     if q.degree > table.max_degree:
         raise DegreeOverflow(
             f"degree {q.degree} exceeds table degree {table.max_degree}"
         )
-    total = Fraction(0)
-    for k, c in enumerate(q.coeffs):
-        if c != 0:
-            total += Fraction(c) * table.moments[k]
-    return total
+    ints, den = clear_denominators(q.coeffs)
+    return Fraction(sum(map(mul, ints, table.numerators)), den * table.denominator)

@@ -5,13 +5,15 @@ part of the package's API.
 """
 
 from fractions import Fraction
-from typing import Sequence
+from typing import List, Sequence
 
 from mpmath import mp
 
 from lfunpoly import (
+    BadPrimeError,
     DegreeOverflow,
     DomainError,
+    FpuElement,
     InvalidPolynomial,
     LValueRequest,
     PeriodicFunction,
@@ -77,6 +79,56 @@ def scaling_identity_check(
     lhs = l_negative(LValueRequest(chi, scaled, m), table)
     rhs = c**m * l_negative(LValueRequest(chi, poly, m), table)
     return lhs == rhs
+
+
+def l_negative_by_fractions(
+    chi: PeriodicFunction, poly: Polynomial, ms: Sequence[int], offset_A: int, table: PsiTable
+) -> List[Fraction]:
+    """-(1/m) sum_k c_k mu_k over the coefficients c_k of P^m, minus the prefix n < A.
+
+    One Fraction product per coefficient; P^m by schoolbook multiplication.
+    """
+    dp = poly.derivative()
+    pm = Polynomial([Fraction(1)])
+    values = []
+    for m in range(1, max(ms) + 1):
+        pm = pm * poly
+        if m in ms:
+            terms = (Fraction(c) * table.moments[k] for k, c in enumerate(pm.coeffs))
+            value = -sum(terms, Fraction(0)) / m
+            for n in range(1, offset_A):
+                value -= chi(n) * dp(Fraction(n)) * poly(Fraction(n)) ** (m - 1)
+            values.append(value)
+    return values
+
+
+def validate_poly_by_fractions(poly: Polynomial, offset_A: int = 1) -> None:
+    """validate_poly as defined on Fractions: Cauchy-bound scan by Fraction Horner."""
+    if poly.is_zero() or poly.degree < 1:
+        raise InvalidPolynomial("polynomial must be non-constant")
+    lead = Fraction(poly.leading())
+    if lead <= 0:
+        raise InvalidPolynomial("leading coefficient must be positive")
+    bound = 1 + max(abs(Fraction(c)) / lead for c in poly.coeffs)
+    for n in range(1, max(offset_A, int(bound) + 1) + 1):
+        if poly(Fraction(n)) == 0:
+            raise InvalidPolynomial(f"polynomial vanishes at n={n}")
+
+
+def fpu_reduce_by_monomials(q: Polynomial, p: int) -> FpuElement:
+    """fpu_reduce as a sum of reduced monomials, one coefficient at a time."""
+    out = FpuElement(p)
+    for e, c in enumerate(q.coeffs):
+        c = Fraction(c)
+        if c == 0:
+            continue
+        den = c.denominator % p
+        if den == 0:
+            raise BadPrimeError(f"{p} divides the denominator of {c}")
+        residue = (c.numerator % p) * pow(den, -1, p) % p
+        if residue:
+            out = out + FpuElement.monomial(p, e, residue)
+    return out
 
 
 def taylor_coefficient(ell: int, roots: Sequence[complex], svec: Sequence[complex]) -> complex:

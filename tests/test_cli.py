@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 
@@ -127,6 +128,45 @@ def test_deterministic_output(capsys):
     _, out1, _ = run(capsys, *argv)
     _, out2, _ = run(capsys, *argv)
     assert out1 == out2
+
+
+# sha256 of the `--format json` stdout of exact commands, with the exit code,
+# recorded before the exact engine moved to integer numerators; the empty
+# stdout of exit code 2 is BadPrimeError (13 divides the denominator of B_12)
+EXACT_COMMANDS = {
+    "psi": ["psi", "--max-degree", "300"],
+    "lneg": ["lneg", "--poly", "1/2,-5/7,2", "--m-range", "1..40", "--A", "3"],
+    "family": ["family", "--m-range", "1..70"],
+    "congruence": ["congruence", "--p", "13", "--periods", "2"],
+}
+EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+EXACT_OUTPUTS = {
+    ("chi3", "psi"): (0, "4b088f179a8901ebc72c84b2471e0c767fcb8b5ec9223f2495f903a42c08de09"),
+    ("chi3", "lneg"): (0, "fab12ba895ce80f3c657d702394bb87358b076c89f15f729a02a8528c723060e"),
+    ("chi3", "family"): (0, "78ed492c5a56fcff3d9176e108382c62aa2f16bec9d080cf09ba70a839fad7cc"),
+    ("chi3", "congruence"): (0, "47ca6bcec3122a39addeae1b05911521e34bc30548219856a7e7a1faa9564f8f"),
+    ("one", "psi"): (0, "b66dd8f11649490bf87501295ad93ede7d7986bdfd906699a87731842622400b"),
+    ("one", "lneg"): (0, "e985acc9e0f8c8d421af4259965cf12dd9564492368246c77b40ab2b40ad120a"),
+    ("one", "family"): (0, "94c331aa1977923d239e107d1e3bd91eb31a65de4b852171c431cb0e4106660b"),
+    ("one", "congruence"): (2, EMPTY),
+    ("period=6;values=2,1,0,1,-1,1", "psi"): (
+        0, "d3eb2c7492717976ebfdcf71df7d0edacbb03d9b305d664de61715a68099740b"
+    ),
+    ("period=6;values=2,1,0,1,-1,1", "lneg"): (
+        0, "ee7beb6e091bd1e685120b1ade05151d7461160fa4341684b58b7566e20e23bc"
+    ),
+    ("period=6;values=2,1,0,1,-1,1", "family"): (
+        0, "92c361f66a4e7c01ce6c2a06017d0d5e7b57e65447eb50938daf11582eaf375e"
+    ),
+    ("period=6;values=2,1,0,1,-1,1", "congruence"): (2, EMPTY),
+}
+
+
+@pytest.mark.parametrize("chi, command", list(EXACT_OUTPUTS))
+def test_exact_outputs_unchanged(capsys, chi, command):
+    name, *rest = EXACT_COMMANDS[command]
+    code, out, _ = run(capsys, "--format", "json", name, "--chi", chi, *rest)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == EXACT_OUTPUTS[chi, command]
 
 
 # -- failure modes ----------------------------------------------------

@@ -2,10 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lfunpoly import BadPrimeError, FpuElement, fpu_reduce
 from lfunpoly.errors import DomainError
 from lfunpoly.polynomials import Polynomial
+
+from checks import fpu_reduce_by_monomials
 
 
 def test_reduce_third_times_u_mod_5():
@@ -80,3 +84,30 @@ def test_ring_axioms_random():
             assert a * (b + elems[0]) == a * b + a * elems[0]
             assert a + 0 == a
             assert a * 1 == a
+
+
+@st.composite
+def _prime_and_upoly(draw):
+    p = draw(st.sampled_from([5, 7, 11, 13]))
+    coeffs = draw(
+        st.lists(
+            st.one_of(st.integers(-40, 40), st.fractions(max_denominator=3 * p)),
+            max_size=3 * p + 1,
+        )
+    )
+    return p, Polynomial(coeffs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_prime_and_upoly())
+def test_reduce_matches_monomial_sum(case):
+    # same element, or BadPrimeError on the same first coefficient
+    p, q = case
+    try:
+        expected = fpu_reduce_by_monomials(q, p)
+    except BadPrimeError as exc:
+        with pytest.raises(BadPrimeError) as got:
+            fpu_reduce(q, p)
+        assert str(got.value) == str(exc)
+    else:
+        assert fpu_reduce(q, p) == expected

@@ -112,6 +112,35 @@ def test_shift_identity_random(chi3_table, coeffs):
     assert check_shift_identity(chi3_table, Polynomial(coeffs))
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.integers(min_value=-10**30, max_value=10**30), max_size=41),
+    st.integers(min_value=1, max_value=12),
+)
+def test_apply_same_on_int_fraction_and_mixed_forms(chi3_table, ints, den):
+    # q = sum ints_k X^k / den as int, Fraction and mixed coefficients
+    reference = sum(
+        (Fraction(c, den) * mu for c, mu in zip(ints, chi3_table.moments)), Fraction(0)
+    )
+    as_fractions = Polynomial([Fraction(c, den) for c in ints])
+    mixed = Polynomial([c.numerator if c.denominator == 1 else c for c in as_fractions.coeffs])
+    assert psi_apply(chi3_table, as_fractions) == reference
+    assert psi_apply(chi3_table, mixed) == reference
+    # den * q with int, Fraction and alternating int/Fraction coefficients
+    assert psi_apply(chi3_table, Polynomial(ints)) == reference * den
+    assert psi_apply(chi3_table, Polynomial([Fraction(c) for c in ints])) == reference * den
+    alternating = Polynomial([c if k % 2 else Fraction(c) for k, c in enumerate(ints)])
+    assert psi_apply(chi3_table, alternating) == reference * den
+
+
+def test_table_numerators_over_common_denominator():
+    for chi in (chi3(), const_one(), PeriodicFunction(3, (Fraction(1, 2), Fraction(-1, 3), 0))):
+        table = psi_table(chi, 30)
+        assert len(table.numerators) == 31
+        assert all(type(n) is int for n in table.numerators)
+        assert table.moments == tuple(Fraction(n, table.denominator) for n in table.numerators)
+
+
 def test_replication_invariance():
     chi = chi3()
     doubled = PeriodicFunction(6, chi.values * 2)

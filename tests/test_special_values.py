@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lfunpoly import (
     DegreeOverflow,
@@ -17,10 +20,16 @@ from lfunpoly import (
     family_pm,
     family_sequence,
     l_negative,
+    l_negative_values,
     psi_table,
     validate_poly,
 )
-from checks import a_offset_consistency, scaling_identity_check
+from checks import (
+    a_offset_consistency,
+    l_negative_by_fractions,
+    scaling_identity_check,
+    validate_poly_by_fractions,
+)
 
 
 def P(*coeffs):
@@ -75,7 +84,76 @@ def test_validate_rejects_integer_roots():
         validate_poly(P(1, -1))  # negative leading coefficient
     with pytest.raises(InvalidPolynomial):
         validate_poly(P(7))  # constant
+    with pytest.raises(InvalidPolynomial, match="vanishes at n=4"):
+        validate_poly(P(40, -14, 1))  # (X - 4)(X - 10): the first root is reported
+    with pytest.raises(InvalidPolynomial, match="vanishes at n=2"):
+        validate_poly(P(Fraction(5, 3), Fraction(-7, 6), Fraction(1, 6)), 3)  # (X-2)(X-5)/6
     validate_poly(P(0, 1, 1))  # root at 0 and -1 is fine
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.fractions(min_value=-12, max_value=12, max_denominator=6), min_size=1, max_size=6
+    ),
+    st.integers(min_value=-2, max_value=15),
+)
+def test_validate_matches_fraction_definition(coeffs, offset_A):
+    # same accept/reject set and the same message as the Fraction scan
+    poly = Polynomial(coeffs)
+    try:
+        validate_poly_by_fractions(poly, offset_A)
+    except InvalidPolynomial as exc:
+        with pytest.raises(InvalidPolynomial) as got:
+            validate_poly(poly, offset_A)
+        assert str(got.value) == str(exc)
+    else:
+        validate_poly(poly, offset_A)
+
+
+LNEG_CHIS = [
+    chi3(),
+    chi4(),
+    const_one(),
+    PeriodicFunction(5, (1, 2, -1, 0, 3)),
+    PeriodicFunction(3, (Fraction(1, 2), Fraction(-1, 3), 0)),
+]
+LNEG_POLYS = ["0,1,1", "1/2,-5/7,2", "1,-10,1", "3,-1,4,1,5,9,2"]
+LNEG_M_MAX = 30
+
+
+@lru_cache(maxsize=None)
+def _lneg_table(chi):
+    return psi_table(chi, LNEG_M_MAX * 6)
+
+
+@pytest.mark.parametrize("spec", LNEG_POLYS)
+@pytest.mark.parametrize("chi", LNEG_CHIS, ids=repr)
+def test_l_negative_values_match_per_m_and_fraction_reference(chi, spec):
+    # 1,-10,1 is negative at n = 1..9: the exact engine accepts it
+    poly = P(*(Fraction(c) for c in spec.split(",")))
+    table = _lneg_table(chi)
+    ms = range(1, LNEG_M_MAX + 1)
+    for offset_A in (1, 2, 3):
+        values = l_negative_values(chi, poly, ms, offset_A, table)
+        assert values == l_negative_by_fractions(chi, poly, ms, offset_A, table)
+        for m, value in zip(ms, values):
+            assert value == l_negative(LValueRequest(chi, poly, m, offset_A), table)
+
+
+def test_l_negative_values_errors(chi3_table):
+    poly = P(0, 1, 1)
+    with pytest.raises(InvalidPolynomial, match="m must be"):
+        l_negative_values(chi3(), poly, [2, 0, 3], 1, chi3_table)
+    with pytest.raises(DomainError, match="offset_A"):
+        l_negative_values(chi3(), poly, [1, 2], 0, chi3_table)
+    with pytest.raises(DomainError):
+        l_negative_values(chi4(), poly, [1, 2], 1, chi3_table)
+    with pytest.raises(InvalidPolynomial, match="vanishes at n=2"):
+        l_negative_values(chi3(), P(-2, 1), [1, 2], 1, chi3_table)
+    with pytest.raises(DegreeOverflow):
+        l_negative_values(chi3(), poly, [1, 21], 1, chi3_table)
+    assert l_negative_values(chi3(), poly, [], 1, chi3_table) == []
 
 
 def test_degree_overflow():
