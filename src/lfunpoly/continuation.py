@@ -5,10 +5,13 @@ P'(n) P(n)^(-s) is lead^(1-s) n^(-(d s - (d-1))) times one power series
 in x = 1/n, B(x) sum_j 1/(1 - x a_j) with B(x) = prod_j (1 - x a_j)^(-(s-1)).
 B's coefficients come from the recurrence of its logarithmic derivative and
 the second factor's from the power sums of the roots.  Cut at order N, the
-series turns the value into a finite combination of shifted classical
-L-values of chi plus a rapidly convergent remainder sum.  The classical
-L-values are computed from mpmath's Hurwitz zeta function (Johansson,
-arXiv:1309.2877) and digamma function.
+series turns the value into a finite combination of the N+1 shifted L-values
+sum_{n >= A} chi(n) n^-(w+ell) plus a rapidly convergent remainder sum.  The
+shifted L-values come in one pass: a direct head sum that shares every
+power n^-w among the shifts, and per residue class an Euler-Maclaurin tail
+whose cut and orders follow Johansson's error bound (arXiv:1309.2877).
+mpmath's Hurwitz zeta and digamma remain for the classical L-values of
+l_chi_numeric, an independent check.
 
 All internal arithmetic runs in mpmath working precision (default 30
 digits): several acceptance checks are absolute comparisons at 1e-8 on
@@ -19,8 +22,10 @@ doubles.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import reduce
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
@@ -34,7 +39,7 @@ from .errors import (
     PoleError,
 )
 from .periodic import PeriodicFunction
-from .polynomials import Polynomial
+from .polynomials import Polynomial, clear_denominators
 from .roots import find_roots
 
 DEFAULT_DPS = 30
@@ -167,6 +172,12 @@ def make_plan(
         from .roots import refine_roots
 
         validate_poly(poly)
+        # P(n)^-s is a real power: P must be positive from offset_A on, and
+        # past the Cauchy bound 1 + max|c_k| / lead it has no real root
+        ints, _ = clear_denominators(poly.coeffs)
+        for k in range(kwargs.get("offset_A", 1), 2 + max(map(abs, ints)) // ints[-1]):
+            if reduce(lambda acc, c: acc * k + c, reversed(ints)) < 0:
+                raise DomainError(f"polynomial not positive at n={k}")
         leading_coeff = Fraction(poly.leading())
         dps = kwargs.get("dps", DEFAULT_DPS)
         roots = refine_roots(poly, find_roots(poly), dps)
@@ -207,14 +218,92 @@ def _working_offset(plan: ContinuationPlan, roots_mp) -> int:
     return a_w
 
 
-def _interior_l_value(chi, w, offset):
-    """L-value of chi at w with the first offset-1 terms removed."""
-    value = _l_chi_mp(chi, w)
-    for n in range(1, offset):
-        c = chi(n)
-        if c != 0:
-            value -= _chi_mp(chi, n) * mp.power(n, -w)
-    return value
+def _interior_l_values(chi, w0, count, offset):
+    """[sum_{n >= offset} chi(n) n^-(w0+ell) for ell < count], continued in w, in one pass.
+
+    The head offset <= n < M is summed directly, each shift from the last by
+    a factor 1/n.  Each residue class m in [M, M+N) is then summed by
+    Euler-Maclaurin on k -> (m + N k)^-w,
+
+        m^-w [m/(N(w-1)) + 1/2 + sum_{j<=J} B_2j/(2j)! (w)_{2j-1} (N/m)^(2j-1)],
+
+    with -m log(m)/N as the integral term at w = 1, which the callers allow
+    only for zero-sum chi (the 1/(N(w-1)) parts cancel over the period).  M
+    is the least cut at which, for every shift, Johansson's bound
+    (arXiv:1309.2877)
+
+        |R_J| <= 4 |(w)_{2J}| N^(2J-1) M^(1-Re w-2J) / ((2 pi)^(2J) (Re w+2J-1))
+
+    falls below 10^-(dps+3) offset^-Re w before it grows; J is the first
+    order that gets there.
+    """
+    N = chi.period
+    ws = [w0 + ell for ell in range(count)]
+
+    def orders(cut):
+        # in logs: the J-dependent part of the bound against the tolerance
+        # over the rest; None if some shift's bound grows first
+        ratio = 2 * math.log(N / (2 * math.pi * cut))
+        js = []
+        for w in map(complex, ws):
+            target = (-(mp.dps + 3) * math.log(10) - w.real * math.log(offset)
+                      - math.log(4 / N) - (1 - w.real) * math.log(cut))
+            log_poch, last = 0.0, math.inf
+            for j in itertools.count(1):
+                f = abs(w + 2 * j - 2) * abs(w + 2 * j - 1)
+                if f == 0:
+                    break  # (w)_{2j} = 0: the series terminates
+                log_poch += math.log(f) + ratio
+                if w.real + 2 * j - 1 <= 0:
+                    continue
+                bound = log_poch - math.log(w.real + 2 * j - 1)
+                if bound <= target:
+                    break
+                if bound > last:
+                    return None
+                last = bound
+            js.append(j)
+        return js
+
+    cut = offset
+    while (js := orders(cut)) is None:
+        cut += N
+        if cut > offset + (N << 14):
+            raise ConvergenceError(f"no Euler-Maclaurin cut up to n={cut} for w0={w0}")
+
+    with mp.extradps(int(max(0.0, 1 - float(mp.re(w0))) * math.log10(cut / offset)) + 5):
+        columns = [[] for _ in ws]
+        for n in range(offset, cut):
+            if chi(n) != 0:
+                term, step = _chi_mp(chi, n) * mp.power(n, -w0), mp.mpf(1) / n
+                for column in columns:
+                    column.append(term)
+                    term *= step
+        values = [mp.fsum(column) for column in columns]
+        # (w)_{2j-1}, j <= J, shared by every class: (w)_{2j+1} = (w)_{2j-1} g_j
+        # with g_j = (w+2j-1)(w+2j) = g_{j-1} + 4w + 8j - 6
+        pochhammers = []
+        for w, j_max in zip(ws, js):
+            p, g, dg = [w], (w + 1) * (w + 2), 4 * w - 6
+            for j in range(2, j_max + 1):
+                p.append(p[-1] * g)
+                g += dg + 8 * j
+            pochhammers.append(p)
+        bern = [mp.bernoulli(2 * j) / mp.factorial(2 * j) for j in range(1, max(js) + 1)]
+        for m in range(cut, cut + N):
+            if chi(m) != 0:
+                q = mp.mpf(N) / m
+                weights, power = [], q  # B_2j/(2j)! (N/m)^(2j-1)
+                for b in bern:
+                    weights.append(b * power)
+                    power *= q * q
+                scale, step = _chi_mp(chi, m) * mp.power(m, -w0), mp.mpf(1) / m
+                for ell, w in enumerate(ws):
+                    integral = -mp.log(m) / q if w == 1 else 1 / (q * (w - 1))
+                    tail = integral + mp.mpf(1) / 2 + mp.fdot(pochhammers[ell], weights)
+                    values[ell] += scale * tail
+                    scale *= step
+    return values
 
 
 def continuation_eval(plan: ContinuationPlan, s) -> complex:
@@ -235,7 +324,9 @@ def _continuation_mp(plan: ContinuationPlan, s):
     if all(a == 0 for a in roots_mp):
         # P = c X^d reduces to the classical L-function directly
         w = d * s - (d - 1)
-        return scale * d * _interior_l_value(chi, w, plan.offset_A)
+        if w == 1 and not chi.zero_sum:
+            raise PoleError("pole at s = 1 for a non-zero-sum periodic function")
+        return scale * d * _interior_l_values(chi, w, 1, plan.offset_A)[0]
 
     a_w = _working_offset(plan, roots_mp)
     sigma = mp.re(s)
@@ -249,19 +340,18 @@ def _continuation_mp(plan: ContinuationPlan, s):
             f"taylor_order_N={order_n} too small for Re(s)={float(sigma)}"
         )
 
-    coeffs = _summand_taylor(roots_mp, s, order_n)
-    total = mp.mpc(0)
-    for ell, coeff in enumerate(coeffs):
-        w = d * s - (d - 1) + ell
-        if w == 1 and not chi.zero_sum:
+    w_interior = d * s - (d - 1)
+    for ell in range(order_n + 1):
+        if w_interior + ell == 1 and not chi.zero_sum:
             raise PoleError(
                 f"interior argument hits the pole at 1 (ell={ell}); "
                 "shift s or use a zero-sum chi"
             )
-        total += coeff * _interior_l_value(chi, w, a_w)
+    coeffs = _summand_taylor(roots_mp, s, order_n)
+    total = mp.fdot(coeffs, _interior_l_values(chi, w_interior, order_n + 1, a_w))
 
     # remainder sum over n >= a_w, with an integral-comparison stopping rule
-    w0 = d * s - (d - 1) + order_n + 1
+    w0 = w_interior + order_n + 1
     sigma0 = mp.re(w0)
     chi_max = float(chi.max_abs())
     rho_bound = mp.mpf(0)

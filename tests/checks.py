@@ -22,7 +22,7 @@ from lfunpoly import (
     l_negative,
     psi_apply,
 )
-from lfunpoly.continuation import _product_taylor
+from lfunpoly.continuation import _chi_mp, _l_chi_mp, _product_taylor
 
 
 def check_shift_identity(table: PsiTable, e: Polynomial) -> bool:
@@ -159,3 +159,12 @@ def taylor_remainder(
     coeffs = _product_taylor(roots_mp, svec_mp, order)
     partial = mp.fsum(c * x**ell for ell, c in enumerate(coeffs))
     return complex((product - partial) / x ** (order + 1))
+
+
+def interior_l_value_by_hurwitz(chi: PeriodicFunction, w, offset: int):
+    """sum_{n >= offset} chi(n) n^-w from mpmath's Hurwitz zeta, minus the prefix n < offset."""
+    value = _l_chi_mp(chi, w)
+    for n in range(1, offset):
+        if chi(n) != 0:
+            value -= _chi_mp(chi, n) * mp.power(n, -w)
+    return value

@@ -204,6 +204,17 @@ def test_domain_error_exit_code(capsys, argv, detail):
     assert detail in record["detail"]
 
 
+def test_eval_rejects_polynomial_negative_from_offset(capsys):
+    argv = ["--format", "json", "eval", "--chi", "chi3", "--poly", "1,-10,1", "--s=2"]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert json.loads(err)["detail"] == "polynomial not positive at n=1"
+    code, out, _ = run(capsys, *argv, "--A", "10")
+    assert code == 0
+    assert json.loads(out)[0]["A"] == 10
+
+
 def test_budget_exit_code(capsys):
     code, _, err = run(
         capsys,

@@ -1,3 +1,4 @@
+import cmath
 import itertools
 import math
 from fractions import Fraction
@@ -25,8 +26,9 @@ from lfunpoly import (
     l_negative,
     make_plan,
 )
-from lfunpoly.continuation import _summand_taylor
-from checks import taylor_coefficient, taylor_remainder
+from lfunpoly import continuation
+from lfunpoly.continuation import _interior_l_values, _summand_taylor
+from checks import interior_l_value_by_hurwitz, taylor_coefficient, taylor_remainder
 
 
 def P(*coeffs):
@@ -198,6 +200,46 @@ def test_summand_series_is_sum_over_slots(roots, s):
             assert complex(got[ell]) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
+# -- interior L-values ------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "chi, w0, offset, count",
+    [
+        (chi3(), mp.mpc(-5.75, 41.5), 7, 30),
+        (chi3(), mp.mpf(-3), 1, 12),  # w0 a non-positive integer
+        (chi3(), mp.mpf(-2), 4, 6),  # w_3 = 1: zero-sum chi
+        (chi4(), mp.mpc(11.5, -60), 20, 8),
+        (chi4(), mp.mpf(-6), 13, 9),  # w_7 = 1: zero-sum chi
+        (const_one(), mp.mpc(0.25, 7), 1, 20),
+        (const_one(), mp.mpc(2.5, -23), 16, 25),
+        (PeriodicFunction(5, (1, 2, -1, 0, 3)), mp.mpc(-1.5, 17.25), 3, 15),
+        (PeriodicFunction(5, (1, 2, -1, 0, 3)), mp.mpf(-4), 9, 5),
+        (PeriodicFunction(3, (Fraction(1, 2), Fraction(-1, 3), 0)), mp.mpc(4, 55), 11, 10),
+        (PeriodicFunction(3, (Fraction(1, 2), Fraction(-1, 3), 0)), mp.mpc(-0.5, -2), 2, 18),
+    ],
+)
+def test_interior_l_values_against_hurwitz(chi, w0, offset, count):
+    # one pass against mpmath's Hurwitz zeta at 50 digits plus the digits the
+    # prefix subtraction cancels; error relative to the larger of the value
+    # and its first term
+    with mp.workdps(30):
+        got = _interior_l_values(chi, w0, count, offset)
+    for ell, value in enumerate(got):
+        with mp.workdps(50 + int(max(0, mp.re(w0) + ell) * math.log10(offset))):
+            w = w0 + ell
+            ref = interior_l_value_by_hurwitz(chi, w, offset)
+            scale = max(abs(ref), mp.power(offset, -mp.re(w)))
+            assert abs(value - ref) <= 1e-25 * scale, (ell, value, ref)
+
+
+def test_interior_l_values_cut_is_capped():
+    # |Im w| = 1e6 needs a cut near N |w| / (2 pi); the search gives up instead
+    with mp.workdps(30):
+        with pytest.raises(ConvergenceError, match="no Euler-Maclaurin cut"):
+            _interior_l_values(chi3(), mp.mpc(0.5, 1e6), 3, 1)
+
+
 # -- continuation evaluator -------------------------------------------
 
 
@@ -314,6 +356,51 @@ def test_make_plan_argument_validation():
             make_plan(chi3(), poly=P(0, 1, 1), offset_A=offset_A)
         with pytest.raises(DomainError, match="offset_A must be >= 1"):
             make_plan(chi3(), roots=[0, -1], offset_A=offset_A)
+
+
+def test_far_point_at_working_precision():
+    # 30 digits must match 50: the value took 4e-8 of error from 30-digit
+    # Hurwitz values of the interior shifts
+    poly, s = P(0, 1, 1, 5, 1), mp.mpc(0.5523, -56.5894)
+    got = continuation_eval(make_plan(const_one(), poly=poly), s)
+    ref = continuation_eval(make_plan(const_one(), poly=poly, dps=50), s)
+    assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
+def test_positivity_from_offset(chi3_table):
+    # X^2 - 10X + 1 is negative at n = 1..9: the numeric engine takes real
+    # powers of P(n) and rejects it, the exact engine's integer powers do not
+    poly = P(1, -10, 1)
+    with pytest.raises(DomainError, match=r"polynomial not positive at n=1$"):
+        make_plan(chi3(), poly=poly)
+    with pytest.raises(DomainError, match=r"polynomial not positive at n=9$"):
+        make_plan(chi3(), poly=poly, offset_A=9)
+    plan = make_plan(chi3(), poly=poly, offset_A=10)
+    ref = direct_sum(chi3(), poly, 10, 2.5, epsilon=1e-11)
+    assert abs(continuation_eval(plan, 2.5) - ref) < 1e-9
+    exact = l_negative(LValueRequest(chi3(), poly, 2, offset_A=10), chi3_table)
+    assert abs(continuation_eval(plan, -1) - float(exact)) < 1e-9 * abs(float(exact))
+    l_negative(LValueRequest(chi3(), poly, 2), chi3_table)
+
+
+def test_interior_values_need_no_hurwitz(monkeypatch):
+    # the interior L-values are summed directly: mpmath's Hurwitz zeta and
+    # digamma stay for l_chi_numeric alone
+    monomial = {
+        (chi, s): 2 * 2 ** (1 - s) * l_chi_numeric(chi, 2 * s - 1)
+        for chi in (chi3(), chi4(), const_one())
+        for s in (-0.75, 0.25 + 3j, 2.5)
+    }
+
+    def unused(*args):
+        raise AssertionError("Hurwitz zeta called")
+
+    monkeypatch.setattr(continuation, "hurwitz_zeta", unused)
+    monkeypatch.setattr(continuation, "_hurwitz_reg1", unused)
+    for (chi, s), expected in monomial.items():
+        plan = make_plan(chi, roots=[0, 0], leading_coeff=2)
+        assert abs(continuation_eval(plan, s) - expected) < 1e-12 * max(1, abs(expected))
+        assert cmath.isfinite(continuation_eval(make_plan(chi, poly=P(0, 1, 1)), s))
 
 
 # -- direct summation oracle ------------------------------------------
