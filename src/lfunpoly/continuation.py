@@ -1,23 +1,24 @@
 """Numeric evaluation of the series attached to (chi, P) anywhere in C.
 
-Strategy: through the roots a_j of P, and since P'/P = sum_j 1/(n - a_j),
-P'(n) P(n)^(-s) is lead^(1-s) n^(-(d s - (d-1))) times one power series
-in x = 1/n, B(x) sum_j 1/(1 - x a_j) with B(x) = prod_j (1 - x a_j)^(-(s-1)).
-B's coefficients come from the recurrence of its logarithmic derivative and
-the second factor's from the power sums of the roots.  Cut at order N, the
-series turns the value into a finite combination of the N+1 shifted L-values
-sum_{n >= A} chi(n) n^-(w+ell) plus a rapidly convergent remainder sum.  The
-shifted L-values come in one pass: a direct head sum that shares every
-power n^-w among the shifts, and per residue class an Euler-Maclaurin tail
-whose cut and orders follow Johansson's error bound (arXiv:1309.2877).
-mpmath's Hurwitz zeta and digamma remain for the classical L-values of
-l_chi_numeric, an independent check.
+Strategy: the head A <= n < M is summed directly, chi(n) P'(n) P(n)^-s,
+with Horner on the monic Q = P/lead expanded from the roots a_j of P.
+Past the cut M, P'(n) P(n)^-s is lead^(1-s) n^-w, w = d s - (d-1), times
+a power series in x = 1/n, S(x) = (d R - x R') R^-s with R(x) = x^d Q(1/x)
+= prod_j (1 - x a_j).  Cut at order N, it turns the tail into N+1 shifted
+tails sum_{n >= M} chi(n) n^-(w+ell), each summed per residue class by
+Euler-Maclaurin, plus a remainder sum that decays like n^-(w+N+1).  Each
+shift's Euler-Maclaurin order follows Johansson's bound (arXiv:1309.2877)
+against its share of tail_epsilon, weighted by its Taylor coefficient.  M
+lies past where the remainder's bound meets tail_epsilon, and where head
+terms cost less than the orders they save.  mpmath's Hurwitz zeta and
+digamma remain for the classical L-values of l_chi_numeric, an
+independent check.
 
-All internal arithmetic runs in mpmath working precision (default 30
-digits): several acceptance checks are absolute comparisons at 1e-8 on
-values of magnitude up to ~1e7, which plain doubles cannot honor through
-the cancellation-heavy regrouped sum.  Results are returned as complex
-doubles.
+Arithmetic runs in mpmath at the working precision (default 30 digits)
+plus what each part cancels: (1 - Re w) log10(M) digits for the head and
+the tails, (N+1) log10(M) for the Taylor coefficients and the remainder.
+For real s and a real P it is real arithmetic, and the value is real.
+Results are returned as complex doubles.
 """
 
 from __future__ import annotations
@@ -104,27 +105,30 @@ def l_chi_numeric(chi: PeriodicFunction, s, dps: int = DEFAULT_DPS) -> complex:
 # -- Taylor series of the summand in x = 1/n --------------------------
 
 
-def _product_taylor(roots, svec, upto):
-    """Coefficients c_0 ... c_upto of prod_j (1 - x a_j)^(-s_j).
+def _monic_from_roots(roots):
+    """Coefficients of prod_j (X - a_j), lowest first; leading 1."""
+    coeffs = [1]
+    for a in roots:
+        coeffs = [0] + coeffs
+        for i in range(len(coeffs) - 1):
+            coeffs[i] -= a * coeffs[i + 1]
+    return coeffs
 
-    The logarithmic derivative of the product is sum_k q_k x^(k-1) with
-    q_k = sum_j s_j a_j^k, so c_0 = 1 and n c_n = sum_{k=1..n} q_k c_{n-k}.
+
+def _summand_taylor(monic, s, upto):
+    """Coefficients c_0 ... c_upto of S(x) = (d R(x) - x R'(x)) R(x)^-s.
+
+    R(x) = x^d Q(1/x) for the monic Q with coefficients ``monic`` (lowest
+    first), so at x = 1/n, n^-(d s - (d-1)) S(x) = Q'(n) Q(n)^-s.  The
+    coefficients g of R^-s follow from R g' = -s R' g at O(d) each.  Plain
+    arithmetic: complex doubles or mpmath numbers alike.
     """
-    q = [mp.fsum(s * a**k for a, s in zip(roots, svec)) for k in range(upto + 1)]
-    c = [mp.mpc(1)]
+    d = len(monic) - 1
+    r = monic[::-1]
+    g = [1]
     for n in range(1, upto + 1):
-        c.append(mp.fdot(q[1 : n + 1], reversed(c)) / n)
-    return c
-
-
-def _summand_taylor(roots, s, upto):
-    """Coefficients of prod_j (1 - x a_j)^(-(s-1)) * sum_j 1/(1 - x a_j) to x^upto.
-
-    Times lead^(1-s) n^(-(d s - (d-1))), at x = 1/n, this is P'(n) P(n)^(-s).
-    """
-    b = _product_taylor(roots, [s - 1] * len(roots), upto)
-    p = [mp.fsum(a**k for a in roots) for k in range(upto + 1)]
-    return [mp.fdot(p[: ell + 1], reversed(b[: ell + 1])) for ell in range(upto + 1)]
+        g.append(sum((-s * i - (n - i)) * r[i] * g[n - i] for i in range(1, min(d, n) + 1)) / n)
+    return [sum((d - i) * r[i] * g[ell - i] for i in range(min(d, ell) + 1)) for ell in range(upto + 1)]
 
 
 # -- continuation evaluator -------------------------------------------
@@ -141,7 +145,11 @@ class ContinuationPlan:
     ``max(d * (ceil(max(0, 2 - sigma)) + 2),
     ceil(TAIL_DECAY_EXPONENT - 1 + d * (1 - sigma)))``,
     so the remainder terms decay like n^(-(d(sigma - 1) + N + 2)) and
-    their tail like n^(-TAIL_DECAY_EXPONENT) or faster.
+    their tail like n^(-TAIL_DECAY_EXPONENT) or faster.  ``tail_epsilon`` is
+    an absolute target for the part past the cut: the remainder sum stops
+    once its bound is below it, and the Euler-Maclaurin tails share an
+    eighth of it.  ``tail_max_terms`` caps the remainder's terms, and how
+    far the cut moves up to spare them.
     """
 
     chi: PeriodicFunction
@@ -201,53 +209,41 @@ def _auto_taylor_order(d: int, sigma) -> int:
     )
 
 
-def _monic_from_roots(roots):
-    coeffs = [mp.mpc(1)]
-    for a in roots:
-        coeffs = [mp.mpc(0)] + coeffs
-        for i in range(len(coeffs) - 1):
-            coeffs[i] -= a * coeffs[i + 1]
-    return coeffs  # lowest first, leading 1
+def _growth_digits(w0, cut) -> int:
+    """Digits that the cancellation of terms of size up to cut^-Re(w0) costs."""
+    return int(max(0.0, 1 - float(mp.re(w0))) * math.log10(cut)) + 5
 
 
-def _working_offset(plan: ContinuationPlan, roots_mp) -> int:
-    maxabs = max(abs(a) for a in roots_mp)
-    coeffs = _monic_from_roots(roots_mp)
-    cauchy = 1 + max(abs(c) for c in coeffs[:-1])
-    a_w = max(plan.offset_A, int(mp.ceil(2 * maxabs)), int(mp.floor(cauchy)) + 1)
-    return a_w
+def _interior_l_values(chi, w0, tolerances, offset):
+    """(M, [sum_{n >= M} chi(n) n^-(w0+ell) for each tolerance]), continued in w.
 
-
-def _interior_l_values(chi, w0, count, offset):
-    """[sum_{n >= offset} chi(n) n^-(w0+ell) for ell < count], continued in w, in one pass.
-
-    The head offset <= n < M is summed directly, each shift from the last by
-    a factor 1/n.  Each residue class m in [M, M+N) is then summed by
-    Euler-Maclaurin on k -> (m + N k)^-w,
+    Each residue class m in [M, M+N) is summed by Euler-Maclaurin on
+    k -> (m + N k)^-w,
 
         m^-w [m/(N(w-1)) + 1/2 + sum_{j<=J} B_2j/(2j)! (w)_{2j-1} (N/m)^(2j-1)],
 
     with -m log(m)/N as the integral term at w = 1, which the callers allow
-    only for zero-sum chi (the 1/(N(w-1)) parts cancel over the period).  M
-    is the least cut at which, for every shift, Johansson's bound
-    (arXiv:1309.2877)
+    only for zero-sum chi (the 1/(N(w-1)) parts cancel over the period).  For
+    every shift, Johansson's bound (arXiv:1309.2877) on one class,
 
-        |R_J| <= 4 |(w)_{2J}| N^(2J-1) M^(1-Re w-2J) / ((2 pi)^(2J) (Re w+2J-1))
+        |R_J| <= 4 |(w)_{2J}| N^(2J-1) M^(1-Re w-2J) / ((2 pi)^(2J) (Re w+2J-1)),
 
-    falls below 10^-(dps+3) offset^-Re w before it grows; J is the first
-    order that gets there.
+    must fall below that shift's absolute tolerance (math.inf: any order)
+    before it grows; J is the first order that gets there.  The cut M starts
+    at the least such M >= offset, in steps of N, and rises while the head
+    terms below it cost less than the orders they save.  The sums carry the
+    digits a head from 1 to M would cancel against them.
     """
     N = chi.period
-    ws = [w0 + ell for ell in range(count)]
+    ws = [w0 + ell for ell in range(len(tolerances))]
 
     def orders(cut):
         # in logs: the J-dependent part of the bound against the tolerance
         # over the rest; None if some shift's bound grows first
         ratio = 2 * math.log(N / (2 * math.pi * cut))
         js = []
-        for w in map(complex, ws):
-            target = (-(mp.dps + 3) * math.log(10) - w.real * math.log(offset)
-                      - math.log(4 / N) - (1 - w.real) * math.log(cut))
+        for w, tol in zip(map(complex, ws), tolerances):
+            target = math.log(tol) - math.log(4 / N) - (1 - w.real) * math.log(cut)
             log_poch, last = 0.0, math.inf
             for j in itertools.count(1):
                 f = abs(w + 2 * j - 2) * abs(w + 2 * j - 1)
@@ -270,21 +266,25 @@ def _interior_l_values(chi, w0, count, offset):
         cut += N
         if cut > offset + (N << 14):
             raise ConvergenceError(f"no Euler-Maclaurin cut up to n={cut} for w0={w0}")
+    # past it, raise the cut while the head terms that adds cost less than
+    # the orders they save: a head term (one power) weighs about six
+    # Pochhammer products, an order one plus a quarter per class
+    classes = sum(1 for m in range(1, N + 1) if chi(m) != 0)
+    while True:
+        up = cut + N * max(1, cut // (4 * N))
+        js_up = orders(up)
+        if js_up is None or 6 * classes * (up - cut) / N >= (sum(js) - sum(js_up)) * (1 + classes / 4):
+            break
+        cut, js = up, js_up
 
-    with mp.extradps(int(max(0.0, 1 - float(mp.re(w0))) * math.log10(cut / offset)) + 5):
-        columns = [[] for _ in ws]
-        for n in range(offset, cut):
-            if chi(n) != 0:
-                term, step = _chi_mp(chi, n) * mp.power(n, -w0), mp.mpf(1) / n
-                for column in columns:
-                    column.append(term)
-                    term *= step
-        values = [mp.fsum(column) for column in columns]
-        # (w)_{2j-1}, j <= J, shared by every class: (w)_{2j+1} = (w)_{2j-1} g_j
-        # with g_j = (w+2j-1)(w+2j) = g_{j-1} + 4w + 8j - 6
+    with mp.extradps(_growth_digits(w0, cut)):
+        values = [0] * len(ws)
+        # after the factors of the integral and of f(m)/2, (w)_{2j-1} for
+        # j <= J, shared by every class: (w)_{2j+1} = (w)_{2j-1} g_j with
+        # g_j = (w+2j-1)(w+2j) = g_{j-1} + 4w + 8j - 6
         pochhammers = []
         for w, j_max in zip(ws, js):
-            p, g, dg = [w], (w + 1) * (w + 2), 4 * w - 6
+            p, g, dg = [1 / (w - 1) if w != 1 else 0, mp.mpf(1) / 2, w], (w + 1) * (w + 2), 4 * w - 6
             for j in range(2, j_max + 1):
                 p.append(p[-1] * g)
                 g += dg + 8 * j
@@ -293,17 +293,18 @@ def _interior_l_values(chi, w0, count, offset):
         for m in range(cut, cut + N):
             if chi(m) != 0:
                 q = mp.mpf(N) / m
-                weights, power = [], q  # B_2j/(2j)! (N/m)^(2j-1)
+                weights, power = [1 / q, 1], q  # then B_2j/(2j)! (N/m)^(2j-1)
                 for b in bern:
                     weights.append(b * power)
                     power *= q * q
                 scale, step = _chi_mp(chi, m) * mp.power(m, -w0), mp.mpf(1) / m
                 for ell, w in enumerate(ws):
-                    integral = -mp.log(m) / q if w == 1 else 1 / (q * (w - 1))
-                    tail = integral + mp.mpf(1) / 2 + mp.fdot(pochhammers[ell], weights)
+                    tail = mp.fdot(pochhammers[ell], weights)
+                    if w == 1:
+                        tail -= mp.log(m) / q
                     values[ell] += scale * tail
                     scale *= step
-    return values
+    return cut, values
 
 
 def continuation_eval(plan: ContinuationPlan, s) -> complex:
@@ -314,94 +315,111 @@ def continuation_eval(plan: ContinuationPlan, s) -> complex:
 
 def _continuation_mp(plan: ContinuationPlan, s):
     chi = plan.chi
-    roots_mp = [mp.mpc(a) for a in plan.roots]
-    d = len(roots_mp)
+    d = len(plan.roots)
     if d < 1:
         raise InvalidPolynomial("need at least one root (degree >= 1)")
+    if mp.im(s) == 0:
+        s = mp.re(s)
     lead = mp.mpf(plan.leading_coeff.numerator) / plan.leading_coeff.denominator
     scale = mp.power(lead, 1 - s)
-
-    if all(a == 0 for a in roots_mp):
-        # P = c X^d reduces to the classical L-function directly
-        w = d * s - (d - 1)
-        if w == 1 and not chi.zero_sum:
-            raise PoleError("pole at s = 1 for a non-zero-sum periodic function")
-        return scale * d * _interior_l_values(chi, w, 1, plan.offset_A)[0]
-
-    a_w = _working_offset(plan, roots_mp)
+    w0 = d * s - (d - 1)
     sigma = mp.re(s)
-    order_n = (
-        plan.taylor_order_N
-        if plan.taylor_order_N is not None
-        else _auto_taylor_order(d, sigma)
-    )
-    if sigma <= 1 - (order_n + 1) / d:
-        raise DomainError(
-            f"taylor_order_N={order_n} too small for Re(s)={float(sigma)}"
+    roots = [complex(a) for a in plan.roots]
+    monic = _monic_from_roots(roots)
+    # P is real when its roots are closed under conjugation
+    real_poly = max(abs(c.imag) for c in monic) <= 1e-9 * max(map(abs, monic))
+    monomial = not any(roots)
+    if monomial:
+        order_n = 0  # P = c X^d: the summand is d n^-w0, with no remainder
+    else:
+        order_n = (
+            plan.taylor_order_N
+            if plan.taylor_order_N is not None
+            else _auto_taylor_order(d, sigma)
         )
-
-    w_interior = d * s - (d - 1)
+        if sigma <= 1 - (order_n + 1) / d:
+            raise DomainError(
+                f"taylor_order_N={order_n} too small for Re(s)={float(sigma)}"
+            )
     for ell in range(order_n + 1):
-        if w_interior + ell == 1 and not chi.zero_sum:
+        if w0 + ell == 1 and not chi.zero_sum:
             raise PoleError(
                 f"interior argument hits the pole at 1 (ell={ell}); "
                 "shift s or use a zero-sum chi"
             )
-    coeffs = _summand_taylor(roots_mp, s, order_n)
-    total = mp.fdot(coeffs, _interior_l_values(chi, w_interior, order_n + 1, a_w))
 
-    # remainder sum over n >= a_w, with an integral-comparison stopping rule
-    w0 = w_interior + order_n + 1
-    sigma0 = mp.re(w0)
+    # each shift's tail past the cut gets 1/(8 (N+1)) of tail_epsilon over
+    # the period, weighted by its Taylor coefficient (in doubles)
     chi_max = float(chi.max_abs())
+    weight = 8 * (order_n + 1) * chi.period * chi_max * abs(complex(scale))
+    series = _summand_taylor(monic, complex(s), 2 * order_n + 1)
+    tolerances = [
+        plan.tail_epsilon / (weight * abs(c)) if weight * abs(c) else math.inf
+        for c in series[: order_n + 1]
+    ]
+    # past twice the roots and the Cauchy bound, |a_j / n| <= 1/2 and P(n) > 0
+    a_w = max(plan.offset_A, math.ceil(2 * max(map(abs, roots))), int(1 + max(map(abs, monic[:-1]))) + 1)
+    sigma_rem = mp.re(w0) + order_n + 1
+    # a remainder term costs more than a head term: within the term budget,
+    # start where the remainder's tail bound, with rho(1/n) estimated from
+    # the next N+1 coefficients, is below tail_epsilon
+    decay = float(sigma_rem) - 1
+    while not monomial and a_w < plan.offset_A + plan.tail_max_terms:
+        rho = abs(sum(c * a_w**-i for i, c in enumerate(series[order_n + 1 :])))
+        if chi_max * rho * a_w**-decay / decay < plan.tail_epsilon:
+            break
+        a_w = math.ceil(1.25 * a_w)
+    cut, tails = _interior_l_values(chi, w0, tolerances, a_w)
+
+    # Taylor coefficients with the digits that (summand - partial) / x^(N+1)
+    # cancels at n = cut
+    extra = int((order_n + 1) * math.log10(cut)) + 10
+    with mp.extradps(extra):
+        monic = _monic_from_roots([mp.mpc(a) for a in plan.roots])
+        if real_poly:
+            monic = [mp.re(c) for c in monic]
+        coeffs = _summand_taylor(monic, s, order_n)
+
+    def summand(n):  # Q'(n) Q(n)^-s for Q = P / lead
+        q = dq = 0
+        for c in reversed(monic):
+            dq = dq * n + q
+            q = q * n + c
+        if q == 0:
+            raise InvalidPolynomial(f"polynomial vanishes at n={n}")
+        return dq * mp.power(q, -s)
+
+    with mp.extradps(_growth_digits(w0, cut)):
+        head = mp.fsum(_chi_mp(chi, n) * summand(n) for n in range(plan.offset_A, cut) if chi(n) != 0)
+        total = head + mp.fdot(coeffs, tails)
+
+    # remainder sum over n >= cut, with an integral-comparison stopping rule
     rho_bound = mp.mpf(0)
-    remainder = mp.mpc(0)
-    n = a_w
-    while True:
+    remainder = 0
+    n = cut
+    while not monomial:
         block_end = n + chi.period
-        while n < block_end:
-            c = chi(n)
-            if c != 0:
-                # product and partial agree to O(x^{N+1}); add digits so the
-                # division by x^{N+1} does not amplify rounding noise
-                extra = int((order_n + 1) * math.log10(n)) + 10
-                with mp.extradps(extra):
-                    x = mp.mpf(1) / n
-                    base = mp.mpc(1)
-                    for a in roots_mp:
-                        base *= mp.power(1 - x * a, -(s - 1))
-                    product = base * mp.fsum(1 / (1 - x * a) for a in roots_mp)
-                    partial = mp.fsum(ck * x**k for k, ck in enumerate(coeffs))
-                    rho_sum = (product - partial) / x ** (order_n + 1)
-                rho_sum = +rho_sum
-                rho_bound = max(rho_bound, abs(rho_sum))
-                remainder += _chi_mp(chi, n) * mp.power(n, -w0) * rho_sum
-            n += 1
-        bound = chi_max * rho_bound * mp.power(n, 1 - sigma0) / (sigma0 - 1)
+        with mp.extradps(extra):
+            while n < block_end:
+                if chi(n) != 0:
+                    partial, x = 0, mp.mpf(1) / n
+                    for c in reversed(coeffs):
+                        partial = partial * x + c
+                    power = mp.power(n, -w0)
+                    term = summand(n) - power * partial  # n^-w0 x^(N+1) rho(x)
+                    rho_bound = max(rho_bound, abs(term) * mp.power(n, sigma_rem))
+                    remainder += _chi_mp(chi, n) * term
+                n += 1
+        bound = chi_max * rho_bound * mp.power(n, 1 - sigma_rem) / (sigma_rem - 1)
         if bound < plan.tail_epsilon:
             break
-        if n - a_w > plan.tail_max_terms:
+        if n - cut > plan.tail_max_terms:
             raise BudgetExceeded(
                 f"remainder tail not below {plan.tail_epsilon} after "
-                f"{n - a_w} terms: last n={n - 1}, tail bound="
+                f"{n - cut} terms: last n={n - 1}, tail bound="
                 f"{mp.nstr(bound, 3)}, rho_bound={mp.nstr(rho_bound, 3)}"
             )
-    total += remainder
-
-    # fold the excluded prefix back so the result has offset plan.offset_A
-    for k in range(plan.offset_A, a_w):
-        c = chi(k)
-        if c == 0:
-            continue
-        factors = [k - a for a in roots_mp]
-        qk = mp.mpc(1)
-        for f in factors:
-            if f == 0:
-                raise InvalidPolynomial(f"polynomial vanishes at n={k}")
-            qk *= f
-        dqk = qk * mp.fsum(1 / f for f in factors)
-        total += _chi_mp(chi, k) * dqk * mp.power(qk, -s)
-    return scale * total
+    return scale * (total + remainder)
 
 
 # -- direct summation oracle ------------------------------------------

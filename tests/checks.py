@@ -22,7 +22,20 @@ from lfunpoly import (
     l_negative,
     psi_apply,
 )
-from lfunpoly.continuation import _chi_mp, _l_chi_mp, _product_taylor
+from lfunpoly.continuation import _chi_mp, _l_chi_mp
+
+
+def _product_taylor(roots, svec, upto):
+    """Coefficients c_0 ... c_upto of prod_j (1 - x a_j)^(-s_j).
+
+    The logarithmic derivative of the product is sum_k q_k x^(k-1) with
+    q_k = sum_j s_j a_j^k, so c_0 = 1 and n c_n = sum_{k=1..n} q_k c_{n-k}.
+    """
+    q = [mp.fsum(s * a**k for a, s in zip(roots, svec)) for k in range(upto + 1)]
+    c = [mp.mpc(1)]
+    for n in range(1, upto + 1):
+        c.append(mp.fdot(q[1 : n + 1], reversed(c)) / n)
+    return c
 
 
 def check_shift_identity(table: PsiTable, e: Polynomial) -> bool:

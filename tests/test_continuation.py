@@ -1,6 +1,8 @@
 import cmath
 import itertools
+import json
 import math
+import time
 from fractions import Fraction
 
 import mpmath
@@ -26,8 +28,8 @@ from lfunpoly import (
     l_negative,
     make_plan,
 )
-from lfunpoly import continuation
-from lfunpoly.continuation import _interior_l_values, _summand_taylor
+from lfunpoly import cli, continuation
+from lfunpoly.continuation import _chi_mp, _interior_l_values, _monic_from_roots, _summand_taylor
 from checks import interior_l_value_by_hurwitz, taylor_coefficient, taylor_remainder
 
 
@@ -189,7 +191,7 @@ def test_summand_series_is_sum_over_slots(roots, s):
     # B(x) sum_j 1/(1 - x a_j) is the sum over j of the products with
     # exponent s on root j and s - 1 on the others
     with mp.workdps(30):
-        got = _summand_taylor([mp.mpc(a) for a in roots], mp.mpc(s), 20)
+        got = _summand_taylor(_monic_from_roots([mp.mpc(a) for a in roots]), mp.mpc(s), 20)
         for ell in range(21):
             want = sum(
                 taylor_coefficient(
@@ -220,14 +222,18 @@ def test_summand_series_is_sum_over_slots(roots, s):
     ],
 )
 def test_interior_l_values_against_hurwitz(chi, w0, offset, count):
-    # one pass against mpmath's Hurwitz zeta at 50 digits plus the digits the
-    # prefix subtraction cancels; error relative to the larger of the value
-    # and its first term
+    # the tails past the cut, each asked for 10^-33 offset^-Re(w) a class, plus
+    # the head from offset summed here, against mpmath's Hurwitz zeta at 50
+    # digits plus the digits the prefix subtraction cancels; error relative to
+    # the larger of the value and its first term
     with mp.workdps(30):
-        got = _interior_l_values(chi, w0, count, offset)
-    for ell, value in enumerate(got):
+        tolerances = [1e-33 * offset ** -float(mp.re(w0 + ell)) for ell in range(count)]
+        cut, tails = _interior_l_values(chi, w0, tolerances, offset)
+    assert cut >= offset
+    for ell, tail in enumerate(tails):
         with mp.workdps(50 + int(max(0, mp.re(w0) + ell) * math.log10(offset))):
             w = w0 + ell
+            value = tail + mp.fsum(_chi_mp(chi, n) * mp.power(n, -w) for n in range(offset, cut))
             ref = interior_l_value_by_hurwitz(chi, w, offset)
             scale = max(abs(ref), mp.power(offset, -mp.re(w)))
             assert abs(value - ref) <= 1e-25 * scale, (ell, value, ref)
@@ -237,7 +243,7 @@ def test_interior_l_values_cut_is_capped():
     # |Im w| = 1e6 needs a cut near N |w| / (2 pi); the search gives up instead
     with mp.workdps(30):
         with pytest.raises(ConvergenceError, match="no Euler-Maclaurin cut"):
-            _interior_l_values(chi3(), mp.mpc(0.5, 1e6), 3, 1)
+            _interior_l_values(chi3(), mp.mpc(0.5, 1e6), [1e-33] * 3, 1)
 
 
 # -- continuation evaluator -------------------------------------------
@@ -365,6 +371,52 @@ def test_far_point_at_working_precision():
     got = continuation_eval(make_plan(const_one(), poly=poly), s)
     ref = continuation_eval(make_plan(const_one(), poly=poly, dps=50), s)
     assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
+def test_large_imaginary_part():
+    # reference: perfbench/oracle.l_value (Euler-Maclaurin per residue class on
+    # the exact polynomial), which gives these digits at 26, 40 and 60 digits
+    ref = 2.11927038100 - 39.8165206930j
+    got = continuation_eval(make_plan(chi3(), poly=P(0, 1, 1)), 0.5 + 2000j)
+    assert abs(got - ref) <= 1e-10 * abs(ref)
+
+
+def test_degree_eight_at_negative_integer(chi3_table):
+    # s = -2 = 1 - m with m = 3: the exact engine's value, real, in under 1 s
+    poly = P(3, 1, 0, 2, 0, 0, 1, 0, 1)
+    exact = float(l_negative(LValueRequest(chi3(), poly, 3), chi3_table))
+    start = time.perf_counter()
+    got = continuation_eval(make_plan(chi3(), poly=poly, tail_epsilon=1e-14), -2)
+    assert time.perf_counter() - start < 1.0
+    assert got.imag == 0
+    assert abs(got.real - exact) <= 1e-12 * abs(exact)
+
+
+def test_period_four_at_default_eps(capsys):
+    # |value| ~ 1.9e13, so the CLI's default --eps 1e-12 asks for 25 digits;
+    # reference: perfbench/oracle.l_value at 40 digits (the same at 60)
+    ref = -18936170486467.21 - 2578409496565.9805j
+    code = cli.main(["--format", "json", "eval", "--chi", "period=4;values=1/2,-1/3,0,-1/6",
+                     "--poly", "4,3,0,8,5/3", "--s=-1.731+6.212i", "--max-terms", "20000"])
+    assert code == 0
+    value = json.loads(capsys.readouterr().out)[0]["value"]
+    assert abs(complex(value["re"], value["im"]) - ref) <= 1e-10 * abs(ref)
+
+
+def test_far_left_within_budget():
+    # reference: perfbench/oracle.l_value at 40 digits (the same at 60)
+    ref = 339393271567.6227 - 151348922142.17383j
+    plan = make_plan(chi3(), poly=P(0, 2, 1, 5, 1), tail_max_terms=1000)
+    assert abs(continuation_eval(plan, -3.9654 - 0.1865j) - ref) <= 1e-10 * abs(ref)
+
+
+@pytest.mark.parametrize("poly, offset_A", [("1,3,1", 1), ("1,-10,1", 10), ("0,1,1", 1)])
+def test_real_s_gives_real_value(capsys, poly, offset_A):
+    # real chi, real P and real s: the value is real, with no rounding noise
+    # left in its imaginary part
+    code = cli.main(["eval", "--chi", "chi3", "--poly", poly, "--A", str(offset_A), "--s=2"])
+    assert code == 0
+    assert capsys.readouterr().out.rstrip().endswith("+0i")
 
 
 def test_positivity_from_offset(chi3_table):
