@@ -8,11 +8,11 @@ a power series in x = 1/n, S(x) = (d R - x R') R^-s with R(x) = x^d Q(1/x)
 tails sum_{n >= M} chi(n) n^-(w+ell), each summed per residue class by
 Euler-Maclaurin, plus a remainder sum that decays like n^-(w+N+1).  Each
 shift's Euler-Maclaurin order follows Johansson's bound (arXiv:1309.2877)
-against its share of tail_epsilon, weighted by its Taylor coefficient.  M
-lies past where the remainder's bound meets tail_epsilon, and where head
-terms cost less than the orders they save.  mpmath's Hurwitz zeta and
-digamma remain for the classical L-values of l_chi_numeric, an
-independent check.
+against its share of tail_epsilon, weighted by its Taylor coefficient, and
+M is the least cut at which every shift's bound gets there.  For P = c X^d
+there is no remainder, and the one tail is taken to 10^-(dps+3) of its
+first term, whatever tail_epsilon.  mpmath's Hurwitz zeta and digamma
+remain for the classical L-values of l_chi_numeric, an independent check.
 
 Arithmetic runs in mpmath at the working precision (default 30 digits)
 plus what each part cancels: (1 - Re w) log10(M) digits for the head and
@@ -146,10 +146,11 @@ class ContinuationPlan:
     ceil(TAIL_DECAY_EXPONENT - 1 + d * (1 - sigma)))``,
     so the remainder terms decay like n^(-(d(sigma - 1) + N + 2)) and
     their tail like n^(-TAIL_DECAY_EXPONENT) or faster.  ``tail_epsilon`` is
-    an absolute target for the part past the cut: the remainder sum stops
-    once its bound is below it, and the Euler-Maclaurin tails share an
-    eighth of it.  ``tail_max_terms`` caps the remainder's terms, and how
-    far the cut moves up to spare them.
+    an absolute target, a finite number > 0, for the part past the cut:
+    the remainder sum stops once its bound is below it, and the
+    Euler-Maclaurin tails share an eighth of it (for P = c X^d the tail is
+    taken relative to its first term instead).  ``tail_max_terms`` caps the
+    remainder's terms.
     """
 
     chi: PeriodicFunction
@@ -176,6 +177,8 @@ def make_plan(
         raise DomainError("give exactly one of poly or roots")
     if kwargs.get("offset_A", 1) < 1:
         raise DomainError("offset_A must be >= 1")
+    if not 0 < kwargs.get("tail_epsilon", 1) < math.inf:
+        raise DomainError("tail_epsilon must be a finite number > 0")
     if poly is not None:
         from .roots import refine_roots
 
@@ -229,21 +232,21 @@ def _interior_l_values(chi, w0, tolerances, offset):
         |R_J| <= 4 |(w)_{2J}| N^(2J-1) M^(1-Re w-2J) / ((2 pi)^(2J) (Re w+2J-1)),
 
     must fall below that shift's absolute tolerance (math.inf: any order)
-    before it grows; J is the first order that gets there.  The cut M starts
-    at the least such M >= offset, in steps of N, and rises while the head
-    terms below it cost less than the orders they save.  The sums carry the
-    digits a head from 1 to M would cancel against them.
+    before it grows; J is the first order that gets there.  M is the least
+    such cut >= offset, in steps of N.  The sums carry the digits a head from
+    1 to M would cancel against them.
     """
     N = chi.period
     ws = [w0 + ell for ell in range(len(tolerances))]
+    log_tols = [float(mp.log(tol)) for tol in tolerances]  # tolerances may leave float range
 
     def orders(cut):
         # in logs: the J-dependent part of the bound against the tolerance
         # over the rest; None if some shift's bound grows first
         ratio = 2 * math.log(N / (2 * math.pi * cut))
         js = []
-        for w, tol in zip(map(complex, ws), tolerances):
-            target = math.log(tol) - math.log(4 / N) - (1 - w.real) * math.log(cut)
+        for w, log_tol in zip(map(complex, ws), log_tols):
+            target = log_tol - math.log(4 / N) - (1 - w.real) * math.log(cut)
             log_poch, last = 0.0, math.inf
             for j in itertools.count(1):
                 f = abs(w + 2 * j - 2) * abs(w + 2 * j - 1)
@@ -266,16 +269,6 @@ def _interior_l_values(chi, w0, tolerances, offset):
         cut += N
         if cut > offset + (N << 14):
             raise ConvergenceError(f"no Euler-Maclaurin cut up to n={cut} for w0={w0}")
-    # past it, raise the cut while the head terms that adds cost less than
-    # the orders they save: a head term (one power) weighs about six
-    # Pochhammer products, an order one plus a quarter per class
-    classes = sum(1 for m in range(1, N + 1) if chi(m) != 0)
-    while True:
-        up = cut + N * max(1, cut // (4 * N))
-        js_up = orders(up)
-        if js_up is None or 6 * classes * (up - cut) / N >= (sum(js) - sum(js_up)) * (1 + classes / 4):
-            break
-        cut, js = up, js_up
 
     with mp.extradps(_growth_digits(w0, cut)):
         values = [0] * len(ws)
@@ -348,28 +341,22 @@ def _continuation_mp(plan: ContinuationPlan, s):
                 "shift s or use a zero-sum chi"
             )
 
-    # each shift's tail past the cut gets 1/(8 (N+1)) of tail_epsilon over
-    # the period, weighted by its Taylor coefficient (in doubles)
-    chi_max = float(chi.max_abs())
-    weight = 8 * (order_n + 1) * chi.period * chi_max * abs(complex(scale))
-    series = _summand_taylor(monic, complex(s), 2 * order_n + 1)
-    tolerances = [
-        plan.tail_epsilon / (weight * abs(c)) if weight * abs(c) else math.inf
-        for c in series[: order_n + 1]
-    ]
     # past twice the roots and the Cauchy bound, |a_j / n| <= 1/2 and P(n) > 0
     a_w = max(plan.offset_A, math.ceil(2 * max(map(abs, roots))), int(1 + max(map(abs, monic[:-1]))) + 1)
-    sigma_rem = mp.re(w0) + order_n + 1
-    # a remainder term costs more than a head term: within the term budget,
-    # start where the remainder's tail bound, with rho(1/n) estimated from
-    # the next N+1 coefficients, is below tail_epsilon
-    decay = float(sigma_rem) - 1
-    while not monomial and a_w < plan.offset_A + plan.tail_max_terms:
-        rho = abs(sum(c * a_w**-i for i, c in enumerate(series[order_n + 1 :])))
-        if chi_max * rho * a_w**-decay / decay < plan.tail_epsilon:
-            break
-        a_w = math.ceil(1.25 * a_w)
+    chi_max = float(chi.max_abs())
+    if monomial:
+        # the value is scale d L(w0): its tail to 10^-(dps+3) of the first term
+        tolerances = [mp.mpf(10) ** -(mp.dps + 3) * mp.power(plan.offset_A, -mp.re(w0))]
+    else:
+        # each shift's tail past the cut gets 1/(8 (N+1)) of tail_epsilon over
+        # the period, weighted by its Taylor coefficient (in doubles)
+        weight = 8 * (order_n + 1) * chi.period * chi_max * abs(scale)
+        tolerances = [
+            plan.tail_epsilon / (weight * abs(c)) if weight * abs(c) else math.inf
+            for c in _summand_taylor(monic, complex(s), order_n)
+        ]
     cut, tails = _interior_l_values(chi, w0, tolerances, a_w)
+    sigma_rem = mp.re(w0) + order_n + 1
 
     # Taylor coefficients with the digits that (summand - partial) / x^(N+1)
     # cancels at n = cut

@@ -215,6 +215,15 @@ def test_eval_rejects_polynomial_negative_from_offset(capsys):
     assert json.loads(out)[0]["A"] == 10
 
 
+@pytest.mark.parametrize("poly", ["0,1", "0,1,1"], ids=["monomial", "general"])
+@pytest.mark.parametrize("eps", ["0", "-1e-12", "nan"])
+def test_eval_rejects_non_positive_eps(capsys, poly, eps):
+    code, out, err = run(capsys, "eval", "--chi", "chi3", "--poly", poly, "--s=2", f"--eps={eps}")
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert json.loads(err)["detail"] == "tail_epsilon must be a finite number > 0"
+
+
 def test_budget_exit_code(capsys):
     code, _, err = run(
         capsys,

@@ -403,6 +403,22 @@ def test_period_four_at_default_eps(capsys):
     assert abs(complex(value["re"], value["im"]) - ref) <= 1e-10 * abs(ref)
 
 
+@pytest.mark.parametrize("coeffs, s", [((0, 1), 3), ((0, 0, 2), 3 + 1j), ((0, 0, 0, 1), 2 - 20j)])
+def test_monomial_small_value_keeps_relative_digits(coeffs, s):
+    # P = c X^d from A = 1000 has a value far below tail_epsilon (about 1e-9
+    # for X at s = 3); its tail is taken relative to the first term.
+    # Reference: c^(1-s) d sum_{n >= A} chi3(n) n^-w from mpmath's Hurwitz
+    # zeta minus the prefix, at 50 digits plus the Re w log10(A) it cancels
+    poly, offset = P(*coeffs), 1000
+    d, lead = poly.degree, coeffs[-1]
+    got = continuation_eval(make_plan(chi3(), poly=poly, offset_A=offset), s)
+    w = d * s - (d - 1)
+    with mp.workdps(50 + int(w.real * math.log10(offset))):
+        ref = complex(mp.power(lead, 1 - mp.mpmathify(s)) * d * interior_l_value_by_hurwitz(chi3(), w, offset))
+    assert abs(ref) < 1e-8
+    assert abs(got - ref) <= 1e-13 * abs(ref)
+
+
 def test_far_left_within_budget():
     # reference: perfbench/oracle.l_value at 40 digits (the same at 60)
     ref = 339393271567.6227 - 151348922142.17383j
