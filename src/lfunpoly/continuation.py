@@ -349,7 +349,7 @@ def _continuation_mp(plan: ContinuationPlan, s):
         tolerances = [mp.mpf(10) ** -(mp.dps + 3) * mp.power(plan.offset_A, -mp.re(w0))]
     else:
         # each shift's tail past the cut gets 1/(8 (N+1)) of tail_epsilon over
-        # the period, weighted by its Taylor coefficient (in doubles)
+        # the period, weighted by its Taylor coefficient c_ell (in doubles)
         weight = 8 * (order_n + 1) * chi.period * chi_max * abs(scale)
         tolerances = [
             plan.tail_epsilon / (weight * abs(c)) if weight * abs(c) else math.inf

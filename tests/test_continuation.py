@@ -403,10 +403,11 @@ def test_period_four_at_default_eps(capsys):
     assert abs(complex(value["re"], value["im"]) - ref) <= 1e-10 * abs(ref)
 
 
-@pytest.mark.parametrize("coeffs, s", [((0, 1), 3), ((0, 0, 2), 3 + 1j), ((0, 0, 0, 1), 2 - 20j)])
+@pytest.mark.parametrize("coeffs, s", [((0, 1), 3), ((0, 0, 2), 3 + 1j), ((0, 0, 0, 1), 2 - 20j), ((0, 1), 100)])
 def test_monomial_small_value_keeps_relative_digits(coeffs, s):
     # P = c X^d from A = 1000 has a value far below tail_epsilon (about 1e-9
-    # for X at s = 3); its tail is taken relative to the first term.
+    # for X at s = 3); its tail is taken relative to the first term, which
+    # at s = 100 (1e-300 times 1e-33) is below the range of a double.
     # Reference: c^(1-s) d sum_{n >= A} chi3(n) n^-w from mpmath's Hurwitz
     # zeta minus the prefix, at 50 digits plus the Re w log10(A) it cancels
     poly, offset = P(*coeffs), 1000
