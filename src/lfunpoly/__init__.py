@@ -4,17 +4,15 @@ Exact rational values at non-positive integers via a moment form on
 polynomials, numeric evaluation anywhere in the complex plane via an
 analytic-continuation identity, and a mod-p periodicity experiment on the
 parametric family attached to X(X+u).
+
+The exact values need Python integers alone, so importing the package does
+not load mpmath: the numeric names (``make_plan``, ``continuation_eval``, ...)
+load the numeric engine when first used.
 """
 
+import importlib
+
 from .congruence import CongruenceReport, congruence_scan, period_detect
-from .continuation import (
-    ContinuationPlan,
-    continuation_eval,
-    direct_sum,
-    hurwitz_zeta,
-    l_chi_numeric,
-    make_plan,
-)
 from .errors import (
     BadPrimeError,
     BudgetExceeded,
@@ -38,7 +36,6 @@ from .periodic import (
 )
 from .polynomials import Polynomial, poly_power
 from .psi import PsiTable, psi_apply, psi_table
-from .roots import find_roots, refine_roots
 from .series import TruncatedSeries, series_divide
 from .special_values import (
     FamilyPolynomial,
@@ -51,6 +48,21 @@ from .special_values import (
 )
 
 __version__ = "0.1.0"
+
+# name -> submodule that defines it, imported on first lookup (PEP 562)
+_NUMERIC = dict.fromkeys(
+    ["ContinuationPlan", "continuation_eval", "direct_sum", "hurwitz_zeta",
+     "l_chi_numeric", "make_plan"], "continuation"
+) | {"find_roots": "roots", "refine_roots": "roots"}
+
+
+def __getattr__(name):
+    if name not in _NUMERIC:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_NUMERIC[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "BadPrimeError",

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Dict, List
 
 from . import congruence as congruence_mod
-from . import continuation, parsing, psi, special_values
+from . import parsing, psi, special_values
 from .errors import BudgetExceeded, DomainError, LfunpolyError, ParseError
 
 EXIT_PARSE = 1
@@ -138,6 +138,8 @@ def cmd_family(args) -> List[Dict]:
 
 
 def cmd_eval(args) -> List[Dict]:
+    from . import continuation  # loads mpmath: the exact commands never need it
+
     chi = parsing.parse_chi(args.chi)
     s = parsing.parse_complex(args.s)
     if (args.poly is None) == (args.roots is None):

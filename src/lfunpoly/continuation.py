@@ -179,6 +179,8 @@ def make_plan(
         raise DomainError("offset_A must be >= 1")
     if not 0 < kwargs.get("tail_epsilon", 1) < math.inf:
         raise DomainError("tail_epsilon must be a finite number > 0")
+    if kwargs.get("tail_max_terms", 0) < 0:
+        raise DomainError("tail_max_terms must be >= 0")
     if poly is not None:
         from .roots import refine_roots
 

@@ -6,6 +6,7 @@ bare integer) and parse back to the identical Fraction.
 
 from __future__ import annotations
 
+import cmath
 from fractions import Fraction
 from typing import Dict, List
 
@@ -22,7 +23,7 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    return str(Fraction(value))
+    return str(value) if type(value) is Fraction else str(Fraction(value))
 
 
 def parse_chi(spec: str) -> PeriodicFunction:
@@ -56,12 +57,15 @@ def parse_poly(spec: str) -> Polynomial:
 
 
 def parse_complex(text: str) -> complex:
-    """Complex numbers in the form ``a+bi`` (or plain reals)."""
+    """Finite complex numbers in the form ``a+bi`` (or plain reals)."""
     cleaned = text.strip().replace(" ", "").replace("i", "j")
     try:
-        return complex(cleaned)
+        value = complex(cleaned)
     except ValueError:
         raise ParseError(f"bad complex number {text!r}") from None
+    if not cmath.isfinite(value):
+        raise ParseError(f"complex number {text!r} is not finite")
+    return value
 
 
 def parse_roots(spec: str) -> List[complex]:

@@ -2,9 +2,16 @@ import csv
 import hashlib
 import io
 import json
+import os
+import shlex
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import lfunpoly
 from lfunpoly import chi3, direct_sum
 from lfunpoly.cli import EXIT_BUDGET, EXIT_DOMAIN, EXIT_PARSE, main
 from lfunpoly.polynomials import Polynomial
@@ -224,6 +231,27 @@ def test_eval_rejects_non_positive_eps(capsys, poly, eps):
     assert json.loads(err)["detail"] == "tail_epsilon must be a finite number > 0"
 
 
+@pytest.mark.parametrize("s", ["nan", "1e400", "nanj", "0.5+1e309i"])
+def test_eval_rejects_non_finite_s(capsys, s):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "eval", "--chi", "chi3", "--poly", "0,1,1", f"--s={s}")
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert json.loads(err) == {
+        "kind": "error", "error": "parse", "detail": f"complex number {s!r} is not finite"
+    }
+
+
+def test_eval_rejects_negative_max_terms(capsys):
+    argv = ["eval", "--chi", "chi3", "--poly", "0,1,1", "--s=0.5", "--max-terms"]
+    code, out, err = run(capsys, *argv, "-5")
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert json.loads(err)["detail"] == "tail_max_terms must be >= 0"
+    assert run(capsys, "eval", "--chi", "chi3", "--poly", "0,1,1", "--s=3", "--max-terms", "0")[0] == 0
+
+
 def test_budget_exit_code(capsys):
     code, _, err = run(
         capsys,
@@ -251,3 +279,79 @@ def test_bad_chi_spec(capsys):
 def test_unknown_command_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+# -- lazy numeric engine and docs --------------------------------------
+
+ENGINE_MODULES = ("mpmath", "lfunpoly.continuation", "lfunpoly.roots")
+
+
+def run_fresh(script: str) -> str:
+    """Run ``script`` in a fresh interpreter that imports lfunpoly from this tree."""
+    src = str(Path(lfunpoly.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    return done.stdout
+
+
+def test_exact_commands_do_not_load_numeric_engine():
+    script = f"""
+import contextlib, io, json, sys
+from lfunpoly.cli import main
+def call(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["--format", "json", *argv]) == 0
+    return json.loads(out.getvalue())
+call("psi", "--chi", "chi3", "--max-degree", "8")
+call("lneg", "--chi", "chi3", "--poly", "0,1,1", "--m-range", "1..4")
+call("family", "--chi", "chi3", "--m-range", "1..4")
+call("congruence", "--chi", "chi3", "--p", "5", "--periods", "1")
+exact = [m for m in {ENGINE_MODULES!r} if m in sys.modules]
+value = call("eval", "--chi", "chi3", "--poly", "0,1,1", "--s", "3")[0]["value"]
+numeric = [m for m in {ENGINE_MODULES!r} if m in sys.modules]
+print(json.dumps([exact, numeric, value]))
+"""
+    exact, numeric, value = json.loads(run_fresh(script))
+    assert exact == []
+    assert numeric == list(ENGINE_MODULES)
+    ref = direct_sum(chi3(), Polynomial.from_rationals([0, 1, 1]), 1, 3.0, epsilon=1e-11)
+    assert abs(complex(value["re"], value["im"]) - ref) < 1e-9
+
+
+def test_public_names_resolve_lazily():
+    script = """
+import json
+import lfunpoly
+namespace = {}
+exec("from lfunpoly import *", namespace)
+unbound = [n for n in lfunpoly.__all__ if n not in namespace]
+unresolved = [n for n in lfunpoly.__all__ if getattr(lfunpoly, n) is not namespace.get(n)]
+import lfunpoly.continuation
+print(json.dumps([unbound, unresolved, lfunpoly.make_plan is lfunpoly.continuation.make_plan]))
+"""
+    assert json.loads(run_fresh(script)) == [[], [], True]
+    with pytest.raises(AttributeError):
+        getattr(lfunpoly, "no_such_name")
+
+
+def readme_commands():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [
+        shlex.split(line, comments=True)[1:]
+        for line in block.splitlines()
+        if line.startswith("lfunpoly ")
+    ]
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_command_line_examples(capsys, argv):
+    assert run(capsys, *argv)[0] == 0
