@@ -1,8 +1,8 @@
 """Numeric evaluation of the series attached to (chi, P) anywhere in C.
 
 Strategy: the head A <= n < M is summed directly, chi(n) P'(n) P(n)^-s,
-with Horner on the monic Q = P/lead expanded from the roots a_j of P.
-Past the cut M, P'(n) P(n)^-s is lead^(1-s) n^-w, w = d s - (d-1), times
+with Horner on the monic Q = P/lead from P's exact coefficients.  Past the
+cut M, P'(n) P(n)^-s is lead^(1-s) n^-w, w = d s - (d-1), times
 a power series in x = 1/n, S(x) = (d R - x R') R^-s with R(x) = x^d Q(1/x)
 = prod_j (1 - x a_j).  Cut at order N, it turns the tail into N+1 shifted
 tails sum_{n >= M} chi(n) n^-(w+ell), each summed per residue class by
@@ -17,8 +17,8 @@ remain for the classical L-values of l_chi_numeric, an independent check.
 Arithmetic runs in mpmath at the working precision (default 30 digits)
 plus what each part cancels: (1 - Re w) log10(M) digits for the head and
 the tails, (N+1) log10(M) for the Taylor coefficients and the remainder.
-For real s and a real P it is real arithmetic, and the value is real.
-Results are returned as complex doubles.
+P has rational coefficients, so for real s it is real arithmetic, and the
+value is real.  Results are returned as complex doubles.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from mpmath import mp
 
@@ -105,16 +105,6 @@ def l_chi_numeric(chi: PeriodicFunction, s, dps: int = DEFAULT_DPS) -> complex:
 # -- Taylor series of the summand in x = 1/n --------------------------
 
 
-def _monic_from_roots(roots):
-    """Coefficients of prod_j (X - a_j), lowest first; leading 1."""
-    coeffs = [1]
-    for a in roots:
-        coeffs = [0] + coeffs
-        for i in range(len(coeffs) - 1):
-            coeffs[i] -= a * coeffs[i + 1]
-    return coeffs
-
-
 def _summand_taylor(monic, s, upto):
     """Coefficients c_0 ... c_upto of S(x) = (d R(x) - x R'(x)) R(x)^-s.
 
@@ -138,10 +128,10 @@ def _summand_taylor(monic, s, upto):
 class ContinuationPlan:
     """Everything needed to evaluate the (chi, P) series at arbitrary s.
 
-    ``roots`` and ``leading_coeff`` describe P; ``offset_A`` is the first
-    summation index of the object being computed (the full series has
-    offset 1).  ``taylor_order_N`` of None means: choose automatically
-    from the degree d and sigma = Re(s) as
+    ``poly`` is P, with int or Fraction coefficients, positive from
+    ``offset_A`` on; ``offset_A`` is the first summation index of the object
+    being computed (the full series has offset 1).  ``taylor_order_N`` of
+    None means: choose automatically from the degree d and sigma = Re(s) as
     ``max(d * (ceil(max(0, 2 - sigma)) + 2),
     ceil(TAIL_DECAY_EXPONENT - 1 + d * (1 - sigma)))``,
     so the remainder terms decay like n^(-(d(sigma - 1) + N + 2)) and
@@ -154,8 +144,7 @@ class ContinuationPlan:
     """
 
     chi: PeriodicFunction
-    roots: Tuple  # complex doubles or higher-precision mpmath numbers
-    leading_coeff: Fraction = Fraction(1)
+    poly: Polynomial
     offset_A: int = 1
     taylor_order_N: Optional[int] = None
     tail_epsilon: float = 1e-14
@@ -163,14 +152,40 @@ class ContinuationPlan:
     dps: int = DEFAULT_DPS
 
 
+def _poly_from_roots(roots: Sequence[complex], leading_coeff) -> Polynomial:
+    """lead * prod_j (X - a_j) with exact rational coefficients.
+
+    A real double a gives X - a; a non-real a needs its conjugate in the
+    list, and the pair gives X^2 - 2 Re(a) X + |a|^2.
+    """
+    poly = Polynomial([Fraction(leading_coeff)])
+    rest = [complex(a) for a in roots]
+    while rest:
+        a = rest.pop()
+        re = Fraction(a.real)
+        if a.imag == 0:
+            poly = poly * Polynomial([-re, 1])
+        elif a.conjugate() in rest:
+            rest.remove(a.conjugate())
+            poly = poly * Polynomial([re * re + Fraction(a.imag) ** 2, -2 * re, 1])
+        else:
+            raise DomainError(f"root {a} has no conjugate among the roots: P must be real")
+    return poly
+
+
 def make_plan(
     chi: PeriodicFunction,
     poly: Optional[Polynomial] = None,
     roots: Optional[Sequence[complex]] = None,
-    leading_coeff=None,
+    leading_coeff=1,
     **kwargs,
 ) -> ContinuationPlan:
-    """Build a plan from either a rational polynomial or explicit roots."""
+    """Build a plan from either a rational polynomial or explicit roots.
+
+    Roots are expanded once into the exact P = leading_coeff prod_j (X - a_j),
+    so they must be closed under conjugation; either way P must be positive
+    at every n >= offset_A.
+    """
     from .special_values import validate_poly
 
     if (poly is None) == (roots is None):
@@ -181,29 +196,16 @@ def make_plan(
         raise DomainError("tail_epsilon must be a finite number > 0")
     if kwargs.get("tail_max_terms", 0) < 0:
         raise DomainError("tail_max_terms must be >= 0")
-    if poly is not None:
-        from .roots import refine_roots
-
-        validate_poly(poly)
-        # P(n)^-s is a real power: P must be positive from offset_A on, and
-        # past the Cauchy bound 1 + max|c_k| / lead it has no real root
-        ints, _ = clear_denominators(poly.coeffs)
-        for k in range(kwargs.get("offset_A", 1), 2 + max(map(abs, ints)) // ints[-1]):
-            if reduce(lambda acc, c: acc * k + c, reversed(ints)) < 0:
-                raise DomainError(f"polynomial not positive at n={k}")
-        leading_coeff = Fraction(poly.leading())
-        dps = kwargs.get("dps", DEFAULT_DPS)
-        roots = refine_roots(poly, find_roots(poly), dps)
-    else:
-        leading_coeff = Fraction(leading_coeff) if leading_coeff is not None else Fraction(1)
-        if leading_coeff <= 0:
-            raise InvalidPolynomial("leading coefficient must be positive")
-    return ContinuationPlan(
-        chi=chi,
-        roots=tuple(roots),
-        leading_coeff=leading_coeff,
-        **kwargs,
-    )
+    if roots is not None:
+        poly = _poly_from_roots(roots, leading_coeff)
+    validate_poly(poly)
+    # P(n)^-s is a real power: P must be positive from offset_A on, and
+    # past the Cauchy bound 1 + max|c_k| / lead it has no real root
+    ints, _ = clear_denominators(poly.coeffs)
+    for k in range(kwargs.get("offset_A", 1), 2 + max(map(abs, ints)) // ints[-1]):
+        if reduce(lambda acc, c: acc * k + c, reversed(ints)) < 0:
+            raise DomainError(f"polynomial not positive at n={k}")
+    return ContinuationPlan(chi=chi, poly=poly, **kwargs)
 
 
 def _auto_taylor_order(d: int, sigma) -> int:
@@ -260,7 +262,7 @@ def _interior_l_values(chi, w0, tolerances, offset):
                 bound = log_poch - math.log(w.real + 2 * j - 1)
                 if bound <= target:
                     break
-                if bound > last:
+                if not bound < last:  # growing, or overflowed to inf at huge |w|
                     return None
                 last = bound
             js.append(j)
@@ -310,20 +312,15 @@ def continuation_eval(plan: ContinuationPlan, s) -> complex:
 
 def _continuation_mp(plan: ContinuationPlan, s):
     chi = plan.chi
-    d = len(plan.roots)
-    if d < 1:
-        raise InvalidPolynomial("need at least one root (degree >= 1)")
+    d = plan.poly.degree
     if mp.im(s) == 0:
         s = mp.re(s)
-    lead = mp.mpf(plan.leading_coeff.numerator) / plan.leading_coeff.denominator
-    scale = mp.power(lead, 1 - s)
+    lead = Fraction(plan.poly.leading())
+    monic = [Fraction(c) / lead for c in plan.poly.coeffs]  # Q = P / lead, exact
+    scale = mp.power(mp.mpf(lead.numerator) / lead.denominator, 1 - s)
     w0 = d * s - (d - 1)
     sigma = mp.re(s)
-    roots = [complex(a) for a in plan.roots]
-    monic = _monic_from_roots(roots)
-    # P is real when its roots are closed under conjugation
-    real_poly = max(abs(c.imag) for c in monic) <= 1e-9 * max(map(abs, monic))
-    monomial = not any(roots)
+    monomial = not any(monic[:-1])
     if monomial:
         order_n = 0  # P = c X^d: the summand is d n^-w0, with no remainder
     else:
@@ -344,7 +341,8 @@ def _continuation_mp(plan: ContinuationPlan, s):
             )
 
     # past twice the roots and the Cauchy bound, |a_j / n| <= 1/2 and P(n) > 0
-    a_w = max(plan.offset_A, math.ceil(2 * max(map(abs, roots))), int(1 + max(map(abs, monic[:-1]))) + 1)
+    radius = max(map(abs, find_roots(plan.poly)))
+    a_w = max(plan.offset_A, math.ceil(2 * radius), int(1 + max(map(abs, monic[:-1]))) + 1)
     chi_max = float(chi.max_abs())
     if monomial:
         # the value is scale d L(w0): its tail to 10^-(dps+3) of the first term
@@ -355,7 +353,7 @@ def _continuation_mp(plan: ContinuationPlan, s):
         weight = 8 * (order_n + 1) * chi.period * chi_max * abs(scale)
         tolerances = [
             plan.tail_epsilon / (weight * abs(c)) if weight * abs(c) else math.inf
-            for c in _summand_taylor(monic, complex(s), order_n)
+            for c in _summand_taylor(list(map(float, monic)), complex(s), order_n)
         ]
     cut, tails = _interior_l_values(chi, w0, tolerances, a_w)
     sigma_rem = mp.re(w0) + order_n + 1
@@ -364,9 +362,7 @@ def _continuation_mp(plan: ContinuationPlan, s):
     # cancels at n = cut
     extra = int((order_n + 1) * math.log10(cut)) + 10
     with mp.extradps(extra):
-        monic = _monic_from_roots([mp.mpc(a) for a in plan.roots])
-        if real_poly:
-            monic = [mp.re(c) for c in monic]
+        monic = [mp.mpf(c.numerator) / c.denominator for c in monic]
         coeffs = _summand_taylor(monic, s, order_n)
 
     def summand(n):  # Q'(n) Q(n)^-s for Q = P / lead

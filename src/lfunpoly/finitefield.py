@@ -7,7 +7,7 @@ u^p = u is applied eagerly, so any exponent e >= p folds down to
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Sequence
 
 from .errors import BadPrimeError, DomainError
 from .polynomials import Polynomial
@@ -34,7 +34,7 @@ def _fold_exponent(e: int, p: int) -> int:
 
 
 class FpuElement:
-    """An element of F_p[u]/(u^p - u)."""
+    """An element of F_p[u]/(u^p - u), as a value: compared, hashed, printed."""
 
     __slots__ = ("p", "coeffs")
 
@@ -49,74 +49,13 @@ class FpuElement:
         self.p = p
         self.coeffs = tuple(vec)
 
-    @classmethod
-    def monomial(cls, p: int, e: int, c: int = 1) -> "FpuElement":
-        coeffs = [0] * (e + 1)
-        coeffs[e] = c
-        return cls(p, coeffs)
-
-    # -- arithmetic ---------------------------------------------------
-
-    def _coerce(self, other) -> "FpuElement":
-        if isinstance(other, FpuElement):
-            if other.p != self.p:
-                raise DomainError("mixed moduli")
-            return other
-        if isinstance(other, int):
-            return FpuElement(self.p, [other])
-        return NotImplemented  # type: ignore[return-value]
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        p = self.p
-        return FpuElement(p, [(a + b) % p for a, b in zip(self.coeffs, other.coeffs)])
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "FpuElement":
-        return FpuElement(self.p, [-a % self.p for a in self.coeffs])
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return self._coerce(other) + (-self)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        p = self.p
-        out = [0] * p
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[_fold_exponent(i + j, p)] += a * b
-        return FpuElement(p, [c % p for c in out])
-
-    __rmul__ = __mul__
-
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = FpuElement(self.p, [other])
         if not isinstance(other, FpuElement):
             return NotImplemented
         return self.p == other.p and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash((self.p, self.coeffs))
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    # -- display ------------------------------------------------------
 
     def __str__(self) -> str:
         """Highest power first, matching displays like ``4u^5 + 2u``."""

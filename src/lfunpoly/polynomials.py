@@ -1,9 +1,5 @@
-"""Dense univariate polynomials over a pluggable coefficient ring.
+"""Dense univariate polynomials with int and ``fractions.Fraction`` coefficients.
 
-Coefficients may be any objects supporting +, -, *, == (including
-comparison with the integers 0 and 1): ``fractions.Fraction``,
-:class:`~lfunpoly.finitefield.FpuElement`, integers mod p, or again
-:class:`Polynomial` (a polynomial ring over a polynomial ring).
 The zero polynomial is the empty coefficient list; ``degree`` is then -1.
 """
 
@@ -31,10 +27,6 @@ class Polynomial:
         return cls([Fraction(0), Fraction(1)])
 
     @classmethod
-    def constant(cls, c) -> "Polynomial":
-        return cls([c])
-
-    @classmethod
     def from_rationals(cls, coeffs: Iterable) -> "Polynomial":
         return cls([Fraction(c) for c in coeffs])
 
@@ -57,12 +49,9 @@ class Polynomial:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, Polynomial):
-            return self.coeffs == other.coeffs
-        # allow comparison with a bare scalar (constant polynomial)
-        if self.degree > 0:
-            return False
-        return (self.coeffs[0] if self.coeffs else 0) == other
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash(self.coeffs)
@@ -137,40 +126,18 @@ class Polynomial:
 
 
 def poly_power(p: Polynomial, m: int) -> Polynomial:
-    """p**m; degree multiplies by m.
+    """p**m by Kronecker substitution; degree multiplies by m.
 
-    Over int and Fraction coefficients, by Kronecker substitution: clear the
-    denominators, pack the integer coefficients into one integer as signed
-    k-bit digits, take one integer power and unpack the digits.  Every
+    Clear the denominators, pack the integer coefficients into one integer as
+    signed k-bit digits, take one integer power and unpack the digits.  Every
     coefficient of the cleared power is bounded by the l1 norm of the cleared
     p to the m-th power, which sets k.  Int coefficients give int results.
-    Other coefficient rings (nested polynomials, F_p[u]/(u^p - u)) use binary
-    powering.
     """
     if m < 0:
         raise ValueError("exponent must be non-negative")
-    if p.coeffs and all(type(c) in (int, Fraction) for c in p.coeffs):
-        return _kronecker_power(p.coeffs, m)
-    result = Polynomial([1])
-    base = p
-    while m:
-        if m & 1:
-            result = result * base
-        m >>= 1
-        if m:
-            base = base * base
-    return result
-
-
-def clear_denominators(coeffs: Sequence) -> Tuple[List[int], int]:
-    """The integers den * c_i and the least common denominator den of int/Fraction c_i."""
-    den = lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
-
-
-def _kronecker_power(coeffs: Sequence, m: int) -> Polynomial:
-    """(sum_i c_i X^i)^m for nonempty int/Fraction coefficients c_i."""
-    ints, den = clear_denominators(coeffs)
+    if not p.coeffs:
+        return Polynomial([1] if m == 0 else [])
+    ints, den = clear_denominators(p.coeffs)
     k = (sum(map(abs, ints)) ** m).bit_length() + 1
     packed = 0
     for c in reversed(ints):
@@ -185,7 +152,13 @@ def _kronecker_power(coeffs: Sequence, m: int) -> Polynomial:
             d -= 1 << k
             power += 1
         digits.append(d)
-    if all(type(c) is int for c in coeffs):
+    if all(type(c) is int for c in p.coeffs):
         return Polynomial(digits)
     den_m = den**m
     return Polynomial([Fraction(d, den_m) for d in digits])
+
+
+def clear_denominators(coeffs: Sequence) -> Tuple[List[int], int]:
+    """The integers den * c_i and the least common denominator den of int/Fraction c_i."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den

@@ -1,8 +1,10 @@
 """Simultaneous root finding for the numeric engine.
 
 Aberth-Ehrlich iteration on all roots at once, with a residual check.
-The continuation formula is root-based, so this is only a convenience for
-callers that supply coefficients instead of roots.
+The continuation works from P's exact coefficients and takes from the roots
+only the radius max|a_j|, in doubles, which places the start of its Taylor
+tail.  ``refine_roots`` polishes roots to higher precision for callers that
+want them; the numeric engine does not.
 """
 
 from __future__ import annotations

@@ -25,6 +25,16 @@ from lfunpoly import (
 from lfunpoly.continuation import _chi_mp, _l_chi_mp
 
 
+def monic_from_roots(roots):
+    """Coefficients of prod_j (X - a_j), lowest first; leading 1."""
+    coeffs = [1]
+    for a in roots:
+        coeffs = [0] + coeffs
+        for i in range(len(coeffs) - 1):
+            coeffs[i] -= a * coeffs[i + 1]
+    return coeffs
+
+
 def _product_taylor(roots, svec, upto):
     """Coefficients c_0 ... c_upto of prod_j (1 - x a_j)^(-s_j).
 
@@ -129,8 +139,8 @@ def validate_poly_by_fractions(poly: Polynomial, offset_A: int = 1) -> None:
 
 
 def fpu_reduce_by_monomials(q: Polynomial, p: int) -> FpuElement:
-    """fpu_reduce as a sum of reduced monomials, one coefficient at a time."""
-    out = FpuElement(p)
+    """fpu_reduce as a sum of reduced monomials: residues added per folded exponent."""
+    sums = [0] * p
     for e, c in enumerate(q.coeffs):
         c = Fraction(c)
         if c == 0:
@@ -138,10 +148,10 @@ def fpu_reduce_by_monomials(q: Polynomial, p: int) -> FpuElement:
         den = c.denominator % p
         if den == 0:
             raise BadPrimeError(f"{p} divides the denominator of {c}")
-        residue = (c.numerator % p) * pow(den, -1, p) % p
-        if residue:
-            out = out + FpuElement.monomial(p, e, residue)
-    return out
+        # u^p = u: u^e is u^(e - (p - 1)k) for any k keeping the exponent >= 1
+        folded = e if e < p else (e - 1) % (p - 1) + 1
+        sums[folded] += c.numerator * pow(den, -1, p)
+    return FpuElement(p, [total % p for total in sums])
 
 
 def taylor_coefficient(ell: int, roots: Sequence[complex], svec: Sequence[complex]) -> complex:

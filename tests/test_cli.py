@@ -252,6 +252,40 @@ def test_eval_rejects_negative_max_terms(capsys):
     assert run(capsys, "eval", "--chi", "chi3", "--poly", "0,1,1", "--s=3", "--max-terms", "0")[0] == 0
 
 
+@pytest.mark.parametrize(
+    "roots, detail",
+    [("5.5", "polynomial not positive at n=1"), ("1j", "has no conjugate among the roots")],
+    ids=["negative-at-1", "non-real"],
+)
+def test_eval_roots_keep_the_poly_domain(capsys, roots, detail):
+    # X - 11/2 is negative at n = 1..5, as --poly=-11/2,1 is; X - i is not real
+    code, out, err = run(capsys, "eval", "--chi", "chi3", f"--roots={roots}", "--s", "0.5")
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert detail in json.loads(err)["detail"]
+
+
+def test_eval_conjugate_roots_match_their_polynomial(capsys):
+    # (X - 1/2 - i)(X - 1/2 + i) = X^2 - X + 5/4
+    for s in ("0.5", "2+3i"):
+        from_roots = run(capsys, "eval", "--chi", "chi3", "--roots=0.5+1j,0.5-1j", f"--s={s}")
+        from_poly = run(capsys, "eval", "--chi", "chi3", "--poly", "5/4,-1,1", f"--s={s}")
+        assert from_roots[0] == 0
+        assert from_roots == from_poly
+
+
+@pytest.mark.parametrize("s", ["1e300", "1e300i", "1e200+1e200i"])
+def test_eval_huge_s_exits_in_time(capsys, s):
+    # the Euler-Maclaurin order search overflows to inf at |w| ~ 1e154; it
+    # must give up on every cut instead of growing the order forever
+    start = time.perf_counter()
+    code, out, err = run(capsys, "eval", "--chi", "chi3", "--poly", "0,1,1", f"--s={s}")
+    assert time.perf_counter() - start < 5.0
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert "no Euler-Maclaurin cut up to n=" in json.loads(err)["detail"]
+
+
 def test_budget_exit_code(capsys):
     code, _, err = run(
         capsys,

@@ -29,8 +29,8 @@ from lfunpoly import (
     make_plan,
 )
 from lfunpoly import cli, continuation
-from lfunpoly.continuation import _chi_mp, _interior_l_values, _monic_from_roots, _summand_taylor
-from checks import interior_l_value_by_hurwitz, taylor_coefficient, taylor_remainder
+from lfunpoly.continuation import _chi_mp, _interior_l_values, _summand_taylor
+from checks import interior_l_value_by_hurwitz, monic_from_roots, taylor_coefficient, taylor_remainder
 
 
 def P(*coeffs):
@@ -191,7 +191,7 @@ def test_summand_series_is_sum_over_slots(roots, s):
     # B(x) sum_j 1/(1 - x a_j) is the sum over j of the products with
     # exponent s on root j and s - 1 on the others
     with mp.workdps(30):
-        got = _summand_taylor(_monic_from_roots([mp.mpc(a) for a in roots]), mp.mpc(s), 20)
+        got = _summand_taylor(monic_from_roots([mp.mpc(a) for a in roots]), mp.mpc(s), 20)
         for ell in range(21):
             want = sum(
                 taylor_coefficient(
@@ -362,6 +362,30 @@ def test_make_plan_argument_validation():
             make_plan(chi3(), poly=P(0, 1, 1), offset_A=offset_A)
         with pytest.raises(DomainError, match="offset_A must be >= 1"):
             make_plan(chi3(), roots=[0, -1], offset_A=offset_A)
+
+
+def test_plan_from_roots_holds_the_exact_polynomial():
+    assert make_plan(chi3(), roots=[0, -1]) == make_plan(chi3(), poly=P(0, 1, 1))
+    # a conjugate pair expands in Fractions: (X - 1/2 - 3i/4)(X - 1/2 + 3i/4)
+    plan = make_plan(chi3(), roots=[0.5 + 0.75j, 0.5 - 0.75j, -2], leading_coeff=Fraction(3, 2))
+    assert plan.poly == P(2, 1) * P(Fraction(13, 16), -1, 1) * Fraction(3, 2)
+    # a repeated non-real root is not its own conjugate; positivity counts from offset_A
+    with pytest.raises(DomainError, match="no conjugate"):
+        make_plan(chi3(), roots=[0.5 + 1j, 0.5 + 1j])
+    assert make_plan(chi3(), roots=[5.5], offset_A=6).poly == P(Fraction(-11, 2), 1)
+
+
+def test_eval_path_never_polishes_roots(monkeypatch, capsys):
+    # the engine works from P's exact coefficients; refine_roots stays only
+    # as a public helper
+    def refuse(*args, **kwargs):
+        raise AssertionError("refine_roots called")
+
+    monkeypatch.setattr("lfunpoly.roots.refine_roots", refuse)
+    plan = make_plan(chi3(), poly=P(5, 2, 0, 1))
+    assert abs(continuation_eval(plan, 3) - direct_sum(chi3(), P(5, 2, 0, 1), 1, 3, epsilon=1e-12)) < 1e-10
+    assert cli.main(["eval", "--chi", "chi3", "--poly", "5,2,0,1", "--s=0.5+2i"]) == 0
+    assert capsys.readouterr().out
 
 
 def test_far_point_at_working_precision():

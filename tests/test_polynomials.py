@@ -4,16 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lfunpoly import FpuElement, Polynomial, poly_power
+from lfunpoly import Polynomial, poly_power
 
 
 def P(*coeffs):
     return Polynomial.from_rationals(coeffs)
-
-
-def u_monomial(e: int, c=1) -> Polynomial:
-    """The monomial c * u^e as a rational polynomial in u."""
-    return Polynomial([Fraction(0)] * e + [Fraction(c)])
 
 
 def test_basic_arithmetic():
@@ -30,17 +25,6 @@ def test_poly_power_monomial():
 def test_poly_power_worked_square():
     # (X^2 + X)^2 = X^4 + 2X^3 + X^2
     assert poly_power(P(0, 1, 1), 2) == P(0, 0, 1, 2, 1)
-
-
-def test_poly_power_u_coefficients():
-    # (X^2 + uX)^4 over rational polynomials in u, against the binomial theorem
-    shape = Polynomial([Polynomial(), u_monomial(1), u_monomial(0)])
-    q = poly_power(shape, 4)
-    from math import comb
-
-    assert q.degree == 8
-    for k in range(5):
-        assert q.coeff(8 - k) == u_monomial(k, comb(4, k))
 
 
 def test_derivative_and_eval():
@@ -93,12 +77,6 @@ def test_power_of_integer_polynomial():
         q = poly_power(p, m)
         assert q == _repeated_product(p, m)
         assert all(type(c) is int for c in q.coeffs)
-
-
-def test_power_over_fpu_coefficients():
-    p = Polynomial([FpuElement(5, [1, 2]), FpuElement(5, [0, 0, 3]), FpuElement.monomial(5, 4)])
-    for m in range(8):
-        assert poly_power(p, m) == _repeated_product(p, m)
 
 
 @settings(max_examples=40, deadline=None)
