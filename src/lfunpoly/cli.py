@@ -21,7 +21,7 @@ from typing import Dict, List
 
 from . import congruence as congruence_mod
 from . import parsing, psi, special_values
-from .errors import BudgetExceeded, DomainError, LfunpolyError, ParseError
+from .errors import BudgetExceeded, LfunpolyError, ParseError
 
 EXIT_PARSE = 1
 EXIT_DOMAIN = 2
@@ -104,7 +104,7 @@ def cmd_lneg(args) -> List[Dict]:
     chi = parsing.parse_chi(args.chi)
     poly = parsing.parse_poly(args.poly)
     ms = _resolve_m_list(args)
-    special_values.validate_poly(poly, args.A)
+    special_values.validate_poly(poly)
     table = psi.psi_table(chi, max(ms) * poly.degree)
     values = special_values.l_negative_values(chi, poly, ms, args.A, table)
     return [
@@ -281,7 +281,7 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(json.dumps({"kind": "error", "error": "budget", "detail": str(exc)}), file=sys.stderr)
         return EXIT_BUDGET
-    except (DomainError, LfunpolyError) as exc:
+    except LfunpolyError as exc:
         print(json.dumps({"kind": "error", "error": "domain", "detail": str(exc)}), file=sys.stderr)
         return EXIT_DOMAIN
     print(render(records, args.format))

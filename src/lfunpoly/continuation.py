@@ -23,10 +23,10 @@ value is real.  Results are returned as complex doubles.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
-from functools import reduce
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -40,8 +40,9 @@ from .errors import (
     PoleError,
 )
 from .periodic import PeriodicFunction
-from .polynomials import Polynomial, clear_denominators
+from .polynomials import Polynomial
 from .roots import find_roots
+from .special_values import validate_poly
 
 DEFAULT_DPS = 30
 
@@ -128,10 +129,12 @@ def _summand_taylor(monic, s, upto):
 class ContinuationPlan:
     """Everything needed to evaluate the (chi, P) series at arbitrary s.
 
-    ``poly`` is P, with int or Fraction coefficients, positive from
-    ``offset_A`` on; ``offset_A`` is the first summation index of the object
-    being computed (the full series has offset 1).  ``taylor_order_N`` of
-    None means: choose automatically from the degree d and sigma = Re(s) as
+    ``poly`` is P, with int or Fraction coefficients; ``offset_A`` >= 1 is
+    the first summation index of the object being computed (the full series
+    has offset 1).  A plan checks its fields when built, P by
+    ``validate_poly(poly, positive_from=offset_A)``, and raises DomainError.
+    ``taylor_order_N`` >= 0, or None for: choose automatically from the
+    degree d and sigma = Re(s) as
     ``max(d * (ceil(max(0, 2 - sigma)) + 2),
     ceil(TAIL_DECAY_EXPONENT - 1 + d * (1 - sigma)))``,
     so the remainder terms decay like n^(-(d(sigma - 1) + N + 2)) and
@@ -150,6 +153,17 @@ class ContinuationPlan:
     tail_epsilon: float = 1e-14
     tail_max_terms: int = 200_000
     dps: int = DEFAULT_DPS
+
+    def __post_init__(self):
+        if self.offset_A < 1:
+            raise DomainError("offset_A must be >= 1")
+        if not 0 < self.tail_epsilon < math.inf:
+            raise DomainError("tail_epsilon must be a finite number > 0")
+        if self.tail_max_terms < 0:
+            raise DomainError("tail_max_terms must be >= 0")
+        if self.taylor_order_N is not None and self.taylor_order_N < 0:
+            raise DomainError("taylor_order_N must be >= 0")
+        validate_poly(self.poly, positive_from=self.offset_A)
 
 
 def _poly_from_roots(roots: Sequence[complex], leading_coeff) -> Polynomial:
@@ -183,28 +197,13 @@ def make_plan(
     """Build a plan from either a rational polynomial or explicit roots.
 
     Roots are expanded once into the exact P = leading_coeff prod_j (X - a_j),
-    so they must be closed under conjugation; either way P must be positive
-    at every n >= offset_A.
+    so they must be closed under conjugation.  The other keyword arguments
+    are ContinuationPlan's fields, which the plan checks itself.
     """
-    from .special_values import validate_poly
-
     if (poly is None) == (roots is None):
         raise DomainError("give exactly one of poly or roots")
-    if kwargs.get("offset_A", 1) < 1:
-        raise DomainError("offset_A must be >= 1")
-    if not 0 < kwargs.get("tail_epsilon", 1) < math.inf:
-        raise DomainError("tail_epsilon must be a finite number > 0")
-    if kwargs.get("tail_max_terms", 0) < 0:
-        raise DomainError("tail_max_terms must be >= 0")
     if roots is not None:
         poly = _poly_from_roots(roots, leading_coeff)
-    validate_poly(poly)
-    # P(n)^-s is a real power: P must be positive from offset_A on, and
-    # past the Cauchy bound 1 + max|c_k| / lead it has no real root
-    ints, _ = clear_denominators(poly.coeffs)
-    for k in range(kwargs.get("offset_A", 1), 2 + max(map(abs, ints)) // ints[-1]):
-        if reduce(lambda acc, c: acc * k + c, reversed(ints)) < 0:
-            raise DomainError(f"polynomial not positive at n={k}")
     return ContinuationPlan(chi=chi, poly=poly, **kwargs)
 
 
@@ -305,9 +304,20 @@ def _interior_l_values(chi, w0, tolerances, offset):
 
 
 def continuation_eval(plan: ContinuationPlan, s) -> complex:
-    """Evaluate the (chi, P) series with offset plan.offset_A at s."""
+    """Evaluate the (chi, P) series with offset plan.offset_A at s.
+
+    A non-finite s, or a value outside the range of a complex double,
+    raises DomainError.
+    """
     with mp.workdps(plan.dps):
-        return complex(_continuation_mp(plan, mp.mpmathify(s)))
+        s = mp.mpmathify(s)
+        if not mp.isfinite(s):
+            raise DomainError(f"s={mp.nstr(s, 5)} is not finite")
+        value = _continuation_mp(plan, s)
+        result = complex(value)
+        if not cmath.isfinite(result):
+            raise DomainError(f"value {mp.nstr(value, 5)} is outside the range of a complex double")
+        return result
 
 
 def _continuation_mp(plan: ContinuationPlan, s):
@@ -370,8 +380,6 @@ def _continuation_mp(plan: ContinuationPlan, s):
         for c in reversed(monic):
             dq = dq * n + q
             q = q * n + c
-        if q == 0:
-            raise InvalidPolynomial(f"polynomial vanishes at n={n}")
         return dq * mp.power(q, -s)
 
     with mp.extradps(_growth_digits(w0, cut)):

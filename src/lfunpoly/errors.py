@@ -47,7 +47,8 @@ class PoleError(DomainError):
 
 
 class ConvergenceError(DomainError):
-    """Direct summation requested outside its half-plane of convergence."""
+    """Direct summation requested outside its half-plane of convergence, or
+    no Euler-Maclaurin cut within 2^14 periods past the tail start (huge |s|)."""
 
 
 class BudgetExceeded(LfunpolyError):

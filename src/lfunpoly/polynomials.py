@@ -44,10 +44,6 @@ class Polynomial:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def coeff(self, k: int):
-        """Coefficient of X^k (0 beyond the degree)."""
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented

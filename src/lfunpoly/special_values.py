@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 from .errors import DegreeOverflow, DomainError, InvalidPolynomial
 from .periodic import PeriodicFunction
@@ -43,13 +43,15 @@ class FamilyPolynomial:
     value: Polynomial
 
 
-def validate_poly(poly: Polynomial, offset_A: int = 1) -> None:
-    """Reject polynomials outside the contract.
+def validate_poly(poly: Polynomial, positive_from: Optional[int] = None) -> None:
+    """Reject a P outside the contract of the engines.
 
-    The leading coefficient must be positive and the polynomial must not
-    vanish at any positive integer; the scan range covers every possible
-    integer root (all real roots lie below the Cauchy bound).  The scan runs
-    integer Horner on den * P, which has the same roots.
+    P must be non-constant with a positive leading coefficient and vanish
+    at no positive integer (InvalidPolynomial).  With ``positive_from`` = A,
+    for the numeric engine's real powers, also P(n) > 0 for n >= A
+    (DomainError, raised only if P has no root there).  One integer Horner
+    scan of den * P covers n = 1 .. 1 + M // lead, M the largest |c_k| over
+    the negative c_k: past 1 + M / lead, P(x) >= lead x^d - M (x^d - 1) / (x - 1) > 0.
     """
     if poly.is_zero() or poly.degree < 1:
         raise InvalidPolynomial("polynomial must be non-constant")
@@ -57,13 +59,17 @@ def validate_poly(poly: Polynomial, offset_A: int = 1) -> None:
     lead = ints[-1]
     if lead <= 0:
         raise InvalidPolynomial("leading coefficient must be positive")
-    # Cauchy bound 1 + max|c_k| / lead; scan up to its floor plus one
-    for n in range(1, max(offset_A, 2 + max(map(abs, ints)) // lead) + 1):
+    first_negative = None
+    for n in range(1, 2 + max((-c for c in ints if c < 0), default=0) // lead):
         acc = 0
         for c in reversed(ints):
             acc = acc * n + c
         if acc == 0:
             raise InvalidPolynomial(f"polynomial vanishes at n={n}")
+        if acc < 0 and positive_from is not None and n >= positive_from:
+            first_negative = first_negative or n
+    if first_negative is not None:
+        raise DomainError(f"polynomial not positive at n={first_negative}")
 
 
 def _check_table_chi(chi: PeriodicFunction, table: PsiTable) -> None:
@@ -85,7 +91,7 @@ def l_negative_values(
     if offset_A < 1:
         raise DomainError("offset_A must be >= 1")
     _check_table_chi(chi, table)
-    validate_poly(poly, offset_A)
+    validate_poly(poly)
     needed = max(ms, default=0) * poly.degree
     if needed > table.max_degree:
         raise DegreeOverflow(

@@ -4,11 +4,16 @@ They check the engines against identities the paper proves and are not
 part of the package's API.
 """
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from typing import List, Sequence
 
 from mpmath import mp
 
+import lfunpoly
 from lfunpoly import (
     BadPrimeError,
     DegreeOverflow,
@@ -138,6 +143,16 @@ def validate_poly_by_fractions(poly: Polynomial, offset_A: int = 1) -> None:
             raise InvalidPolynomial(f"polynomial vanishes at n={n}")
 
 
+def positive_from_by_fractions(poly: Polynomial, offset_A: int) -> None:
+    """P(n) > 0 for every n >= offset_A, scanned by Fraction Horner up to the
+    Cauchy bound 1 + max|c_k| / lead, past which P has no real root."""
+    lead = Fraction(poly.leading())
+    bound = 1 + max(abs(Fraction(c)) / lead for c in poly.coeffs)
+    for n in range(offset_A, int(bound) + 1):
+        if poly(Fraction(n)) < 0:
+            raise DomainError(f"polynomial not positive at n={n}")
+
+
 def fpu_reduce_by_monomials(q: Polynomial, p: int) -> FpuElement:
     """fpu_reduce as a sum of reduced monomials: residues added per folded exponent."""
     sums = [0] * p
@@ -191,3 +206,19 @@ def interior_l_value_by_hurwitz(chi: PeriodicFunction, w, offset: int):
         if chi(n) != 0:
             value -= _chi_mp(chi, n) * mp.power(n, -w)
     return value
+
+
+def run_fresh(script: str, timeout: float = 60) -> str:
+    """Run ``script`` in a fresh interpreter that imports lfunpoly from this
+    tree; a hang fails with TimeoutExpired after ``timeout`` seconds."""
+    src = str(Path(lfunpoly.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=timeout,
+    )
+    return done.stdout

@@ -2,10 +2,7 @@ import csv
 import hashlib
 import io
 import json
-import os
 import shlex
-import subprocess
-import sys
 import time
 from pathlib import Path
 
@@ -15,6 +12,7 @@ import lfunpoly
 from lfunpoly import chi3, direct_sum
 from lfunpoly.cli import EXIT_BUDGET, EXIT_DOMAIN, EXIT_PARSE, main
 from lfunpoly.polynomials import Polynomial
+from checks import run_fresh
 
 
 def run(capsys, *argv):
@@ -274,6 +272,36 @@ def test_eval_conjugate_roots_match_their_polynomial(capsys):
         assert from_roots == from_poly
 
 
+@pytest.mark.parametrize("fmt, poly, s", [("text", "0,1000", "-150"), ("json", "0,10", "-200")])
+def test_eval_value_out_of_double_range(capsys, fmt, poly, s):
+    # about -2e667 and 3e511: no -inf or Infinity (invalid JSON) on stdout
+    argv = ["--format", fmt, "eval", "--chi", "chi3", "--poly", poly, f"--s={s}"]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert "is outside the range of a complex double" in json.loads(err)["detail"]
+
+
+def test_lneg_huge_constant_term_answers_in_time():
+    # P = X + c with chi3 (mu_0 = mu_2 = 0, mu_1 = -1/3): the value at s = 0
+    # is 1/3 and at s = -1 it is c/3; the scan for roots must not run to c
+    script = """
+import contextlib, io, json, time
+from lfunpoly.cli import main
+results = []
+for poly, m in (("1e300,1", "1"), ("1e30,1", "2")):
+    out, start = io.StringIO(), time.perf_counter()
+    with contextlib.redirect_stdout(out):
+        code = main(["--format", "json", "lneg", "--chi", "chi3", f"--poly={poly}", "--m", m])
+    results.append([code, json.loads(out.getvalue())[0]["value"], time.perf_counter() - start])
+print(json.dumps(results))
+"""
+    (code1, v1, t1), (code2, v2, t2) = json.loads(run_fresh(script, timeout=30))
+    assert (code1, v1) == (0, "1/3")
+    assert (code2, v2) == (0, "1000000000000000000000000000000/3")
+    assert max(t1, t2) < 2.0
+
+
 @pytest.mark.parametrize("s", ["1e300", "1e300i", "1e200+1e200i"])
 def test_eval_huge_s_exits_in_time(capsys, s):
     # the Euler-Maclaurin order search overflows to inf at |w| ~ 1e154; it
@@ -318,21 +346,6 @@ def test_unknown_command_rejected(capsys):
 # -- lazy numeric engine and docs --------------------------------------
 
 ENGINE_MODULES = ("mpmath", "lfunpoly.continuation", "lfunpoly.roots")
-
-
-def run_fresh(script: str) -> str:
-    """Run ``script`` in a fresh interpreter that imports lfunpoly from this tree."""
-    src = str(Path(lfunpoly.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", script],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        check=True,
-        timeout=60,
-    )
-    return done.stdout
 
 
 def test_exact_commands_do_not_load_numeric_engine():

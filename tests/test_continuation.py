@@ -30,7 +30,13 @@ from lfunpoly import (
 )
 from lfunpoly import cli, continuation
 from lfunpoly.continuation import _chi_mp, _interior_l_values, _summand_taylor
-from checks import interior_l_value_by_hurwitz, monic_from_roots, taylor_coefficient, taylor_remainder
+from checks import (
+    interior_l_value_by_hurwitz,
+    monic_from_roots,
+    run_fresh,
+    taylor_coefficient,
+    taylor_remainder,
+)
 
 
 def P(*coeffs):
@@ -362,6 +368,64 @@ def test_make_plan_argument_validation():
             make_plan(chi3(), poly=P(0, 1, 1), offset_A=offset_A)
         with pytest.raises(DomainError, match="offset_A must be >= 1"):
             make_plan(chi3(), roots=[0, -1], offset_A=offset_A)
+
+
+def test_plan_checks_its_own_contract():
+    # a plan built directly rejects what make_plan rejects, with the same
+    # message; in a child process with a time bound, because an unchecked
+    # tail_epsilon=0 makes the remainder sum endless, and so did a scan of
+    # X + 10^30 up to its Cauchy bound
+    script = """
+import json, math, time
+from fractions import Fraction
+from lfunpoly import ContinuationPlan, LfunpolyError, Polynomial, chi3, make_plan
+
+def outcome(build):
+    try:
+        build()
+    except LfunpolyError as exc:
+        return [type(exc).__name__, str(exc)]
+
+xx1 = Polynomial([0, 1, 1])
+cases = [
+    (xx1, {"offset_A": 0}),
+    (xx1, {"tail_epsilon": 0.0}),
+    (xx1, {"tail_epsilon": math.nan}),
+    (xx1, {"tail_max_terms": -1}),
+    (xx1, {"taylor_order_N": -1}),
+    (Polynomial([Fraction(-11, 2), 1]), {}),
+]
+rejected = [
+    [
+        outcome(lambda: ContinuationPlan(chi3(), poly, **kw)),
+        outcome(lambda: make_plan(chi3(), poly=poly, **kw)),
+    ]
+    for poly, kw in cases
+]
+start = time.perf_counter()
+make_plan(chi3(), poly=Polynomial([10**30, 1]))
+elapsed = time.perf_counter() - start
+print(json.dumps([rejected, ContinuationPlan(chi3(), xx1) == make_plan(chi3(), poly=xx1), elapsed]))
+"""
+    rejected, same_plan, elapsed = json.loads(run_fresh(script, timeout=30))
+    expected = [
+        "offset_A must be >= 1",
+        "tail_epsilon must be a finite number > 0",
+        "tail_epsilon must be a finite number > 0",
+        "tail_max_terms must be >= 0",
+        "taylor_order_N must be >= 0",
+        "polynomial not positive at n=1",
+    ]
+    assert rejected == [[["DomainError", detail]] * 2 for detail in expected]
+    assert same_plan
+    assert elapsed < 2.0
+
+
+def test_continuation_eval_rejects_non_finite_s():
+    plan = make_plan(chi3(), poly=P(0, 1, 1))
+    for s in (math.nan, complex(0.5, math.inf), mp.mpc(mp.inf, 1)):
+        with pytest.raises(DomainError, match="is not finite"):
+            continuation_eval(plan, s)
 
 
 def test_plan_from_roots_holds_the_exact_polynomial():

@@ -27,6 +27,7 @@ from lfunpoly import (
 from checks import (
     a_offset_consistency,
     l_negative_by_fractions,
+    positive_from_by_fractions,
     scaling_identity_check,
     validate_poly_by_fractions,
 )
@@ -87,7 +88,13 @@ def test_validate_rejects_integer_roots():
     with pytest.raises(InvalidPolynomial, match="vanishes at n=4"):
         validate_poly(P(40, -14, 1))  # (X - 4)(X - 10): the first root is reported
     with pytest.raises(InvalidPolynomial, match="vanishes at n=2"):
-        validate_poly(P(Fraction(5, 3), Fraction(-7, 6), Fraction(1, 6)), 3)  # (X-2)(X-5)/6
+        # (X-2)(X-5)/6: the root is reported before the negative values at n = 3, 4
+        validate_poly(P(Fraction(5, 3), Fraction(-7, 6), Fraction(1, 6)), positive_from=3)
+    # the scan ends at n = 1 + M // lead, M the largest negative |c_k|: here n = 2
+    with pytest.raises(InvalidPolynomial, match="vanishes at n=2"):
+        validate_poly(P(-2, -3, 2))  # (2X + 1)(X - 2)
+    with pytest.raises(DomainError, match="not positive at n=2"):
+        validate_poly(P(-3, -3, 2), positive_from=2)  # -1 at n = 2
     validate_poly(P(0, 1, 1))  # root at 0 and -1 is fine
 
 
@@ -105,10 +112,32 @@ def test_validate_matches_fraction_definition(coeffs, offset_A):
         validate_poly_by_fractions(poly, offset_A)
     except InvalidPolynomial as exc:
         with pytest.raises(InvalidPolynomial) as got:
-            validate_poly(poly, offset_A)
+            validate_poly(poly)
         assert str(got.value) == str(exc)
     else:
-        validate_poly(poly, offset_A)
+        validate_poly(poly)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.fractions(min_value=-12, max_value=12, max_denominator=6), min_size=1, max_size=6
+    ),
+    st.integers(min_value=1, max_value=15),
+)
+def test_positive_from_matches_fraction_definitions(coeffs, offset_A):
+    # the roots scan, then the positivity scan from offset_A: the same
+    # outcome, class and message as validate_poly's one pass
+    poly = Polynomial(coeffs)
+    try:
+        validate_poly_by_fractions(poly)
+        positive_from_by_fractions(poly, offset_A)
+    except DomainError as exc:
+        with pytest.raises(DomainError) as got:
+            validate_poly(poly, positive_from=offset_A)
+        assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+    else:
+        validate_poly(poly, positive_from=offset_A)
 
 
 LNEG_CHIS = [
