@@ -18,14 +18,12 @@ from .errors import (
     BudgetExceeded,
     ConvergenceError,
     DegreeOverflow,
-    DivisionByZeroSeries,
     DomainError,
     InvalidPolynomial,
     LengthMismatch,
     LfunpolyError,
     ParseError,
     PoleError,
-    ValuationError,
 )
 from .finitefield import FpuElement, fpu_reduce
 from .periodic import (
@@ -36,9 +34,7 @@ from .periodic import (
 )
 from .polynomials import Polynomial, poly_power
 from .psi import PsiTable, psi_apply, psi_table
-from .series import TruncatedSeries, series_divide
 from .special_values import (
-    FamilyPolynomial,
     LValueRequest,
     family_pm,
     family_sequence,
@@ -53,7 +49,7 @@ __version__ = "0.1.0"
 _NUMERIC = dict.fromkeys(
     ["ContinuationPlan", "continuation_eval", "direct_sum", "hurwitz_zeta",
      "l_chi_numeric", "make_plan"], "continuation"
-) | {"find_roots": "roots", "refine_roots": "roots"}
+) | {"find_roots": "roots"}
 
 
 def __getattr__(name):
@@ -71,9 +67,7 @@ __all__ = [
     "ContinuationPlan",
     "ConvergenceError",
     "DegreeOverflow",
-    "DivisionByZeroSeries",
     "DomainError",
-    "FamilyPolynomial",
     "FpuElement",
     "InvalidPolynomial",
     "LValueRequest",
@@ -84,8 +78,6 @@ __all__ = [
     "PoleError",
     "Polynomial",
     "PsiTable",
-    "TruncatedSeries",
-    "ValuationError",
     "chi3",
     "chi4",
     "congruence_scan",
@@ -105,7 +97,5 @@ __all__ = [
     "poly_power",
     "psi_apply",
     "psi_table",
-    "refine_roots",
-    "series_divide",
     "validate_poly",
 ]

@@ -16,7 +16,6 @@ import csv
 import io
 import json
 import sys
-from fractions import Fraction
 from typing import Dict, List
 
 from . import congruence as congruence_mod
@@ -131,7 +130,7 @@ def cmd_family(args) -> List[Dict]:
             "kind": "family_poly",
             "chi": args.chi,
             "m": m,
-            "coeffs": parsing.poly_coeff_map(members[m - 1].value),
+            "coeffs": parsing.poly_coeff_map(members[m - 1]),
         }
         for m in ms
     ]
@@ -172,8 +171,7 @@ def cmd_eval(args) -> List[Dict]:
 
 def cmd_congruence(args) -> List[Dict]:
     chi = parsing.parse_chi(args.chi)
-    m_max = 1 + (args.periods + 1) * (args.p - 1)
-    table = psi.psi_table(chi, 2 * m_max)
+    table = psi.psi_table(chi, 2 * congruence_mod.family_length(args.p, args.periods))
     report = congruence_mod.congruence_scan(chi, args.p, args.periods, table)
     return [
         {
@@ -230,8 +228,6 @@ def _render_text(records: List[Dict]) -> str:
                 f"(preperiod {rec['preperiod']}, "
                 f"p-1 confirmed: {rec['pm1_confirmed']})"
             )
-        else:
-            lines.append(json.dumps(rec))
     return "\n".join(lines)
 
 

@@ -20,7 +20,6 @@ from .special_values import family_sequence
 @dataclass(frozen=True)
 class CongruenceReport:
     prime: int
-    chi_name: str
     terms: Tuple[FpuElement, ...]  # reductions for m = 1, 2, ...
     period_detected: Optional[int]  # minimal period past the preperiod
     pm1_confirmed: bool  # terms[m] = terms[m + (p-1)] for all m >= 2 in range
@@ -49,32 +48,38 @@ def period_detect(terms: Sequence, preperiod: int = 0) -> Optional[int]:
     return None
 
 
+def family_length(p: int, periods: int) -> int:
+    """Members a scan of ``periods`` periods mod p reduces: the first term,
+    then periods + 1 runs of p - 1; the moment table needs twice this degree."""
+    if not is_prime(p) or p <= 3:
+        raise DomainError("p must be a prime greater than 3")
+    if periods < 1:
+        raise DomainError("periods must be >= 1")
+    return 1 + (periods + 1) * (p - 1)
+
+
 def congruence_scan(
     chi: PeriodicFunction,
     p: int,
     periods: int,
     table: PsiTable,
 ) -> CongruenceReport:
-    """Reduce family members mod p and test for period p-1 past the first term."""
-    if not is_prime(p) or p <= 3:
-        raise DomainError("p must be a prime greater than 3")
-    if periods < 1:
-        raise DomainError("periods must be >= 1")
-    m_max = 1 + (periods + 1) * (p - 1)
+    """Reduce family members 1 ... family_length(p, periods) mod p and test
+    for period p-1 past the first term; the table needs twice that degree."""
+    m_max = family_length(p, periods)
     if table.max_degree < 2 * m_max:
         raise DegreeOverflow(
             f"need table degree {2 * m_max} for p={p}, periods={periods}; "
             f"have {table.max_degree}"
         )
     family = family_sequence(chi, m_max, table)
-    terms = tuple(fpu_reduce(member.value, p) for member in family)
+    terms = tuple(fpu_reduce(member, p) for member in family)
 
     pm1_confirmed = all(
         terms[i] == terms[i + (p - 1)] for i in range(1, len(terms) - (p - 1))
     )
     return CongruenceReport(
         prime=p,
-        chi_name=chi.name or repr(chi),
         terms=terms,
         period_detected=period_detect(terms, preperiod=1),
         pm1_confirmed=pm1_confirmed,

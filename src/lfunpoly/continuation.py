@@ -26,6 +26,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -49,6 +50,10 @@ DEFAULT_DPS = 30
 # the automatic Taylor order makes the remainder tail decay at least like
 # n^(-TAIL_DECAY_EXPONENT)
 TAIL_DECAY_EXPONENT = 12
+
+# the cut search gives up past this many periods, and no Taylor order may
+# exceed it: each order costs one more tail and one more coefficient
+SEARCH_CAP = 1 << 14
 
 
 # -- Hurwitz zeta from mpmath -----------------------------------------
@@ -97,9 +102,9 @@ def _l_chi_mp(chi: PeriodicFunction, s):
     return mp.power(N, -s) * total
 
 
-def l_chi_numeric(chi: PeriodicFunction, s, dps: int = DEFAULT_DPS) -> complex:
-    """Value of the continued classical L-function of chi at s."""
-    with mp.workdps(dps):
+def l_chi_numeric(chi: PeriodicFunction, s) -> complex:
+    """Value of the continued classical L-function of chi at s, at DEFAULT_DPS digits."""
+    with mp.workdps(DEFAULT_DPS):
         return complex(_l_chi_mp(chi, s))
 
 
@@ -135,15 +140,15 @@ class ContinuationPlan:
     ``validate_poly(poly, positive_from=offset_A)``, and raises DomainError.
     ``taylor_order_N`` >= 0, or None for: choose automatically from the
     degree d and sigma = Re(s) as
-    ``max(d * (ceil(max(0, 2 - sigma)) + 2),
-    ceil(TAIL_DECAY_EXPONENT - 1 + d * (1 - sigma)))``,
+    ``max(0, ceil(TAIL_DECAY_EXPONENT - 1 + d * (1 - sigma)))``,
     so the remainder terms decay like n^(-(d(sigma - 1) + N + 2)) and
-    their tail like n^(-TAIL_DECAY_EXPONENT) or faster.  ``tail_epsilon`` is
-    an absolute target, a finite number > 0, for the part past the cut:
-    the remainder sum stops once its bound is below it, and the
-    Euler-Maclaurin tails share an eighth of it (for P = c X^d the tail is
-    taken relative to its first term instead).  ``tail_max_terms`` caps the
-    remainder's terms.
+    their tail like n^(-TAIL_DECAY_EXPONENT) or faster; an order above
+    SEARCH_CAP raises ConvergenceError when the plan is evaluated.
+    ``tail_epsilon`` is an absolute target, a finite number > 0, for the
+    part past the cut: the remainder sum stops once its bound is below it,
+    and the Euler-Maclaurin tails share an eighth of it (for P = c X^d the
+    tail is taken relative to its first term instead).  ``tail_max_terms``
+    caps the remainder's terms.
     """
 
     chi: PeriodicFunction
@@ -208,11 +213,9 @@ def make_plan(
 
 
 def _auto_taylor_order(d: int, sigma) -> int:
-    sigma = float(sigma)
-    return max(
-        d * (math.ceil(max(0.0, 2.0 - sigma)) + 2),
-        math.ceil(TAIL_DECAY_EXPONENT - 1 + d * (1.0 - sigma)),
-    )
+    # in doubles; an order past the double range becomes the largest double
+    order = TAIL_DECAY_EXPONENT - 1 + d * (1.0 - float(sigma))
+    return max(0, math.ceil(min(order, sys.float_info.max)))
 
 
 def _growth_digits(w0, cut) -> int:
@@ -270,7 +273,7 @@ def _interior_l_values(chi, w0, tolerances, offset):
     cut = offset
     while (js := orders(cut)) is None:
         cut += N
-        if cut > offset + (N << 14):
+        if cut > offset + N * SEARCH_CAP:
             raise ConvergenceError(f"no Euler-Maclaurin cut up to n={cut} for w0={w0}")
 
     with mp.extradps(_growth_digits(w0, cut)):
@@ -339,6 +342,10 @@ def _continuation_mp(plan: ContinuationPlan, s):
             if plan.taylor_order_N is not None
             else _auto_taylor_order(d, sigma)
         )
+        if order_n > SEARCH_CAP:
+            raise ConvergenceError(
+                f"Taylor order N={order_n:.3g} above {SEARCH_CAP} for Re(s)={float(sigma):.3g}"
+            )
         if sigma <= 1 - (order_n + 1) / d:
             raise DomainError(
                 f"taylor_order_N={order_n} too small for Re(s)={float(sigma)}"
@@ -374,12 +381,10 @@ def _continuation_mp(plan: ContinuationPlan, s):
     with mp.extradps(extra):
         monic = [mp.mpf(c.numerator) / c.denominator for c in monic]
         coeffs = _summand_taylor(monic, s, order_n)
+    monic_desc, coeffs_desc = monic[::-1], coeffs[::-1]  # highest first, for polyval
 
     def summand(n):  # Q'(n) Q(n)^-s for Q = P / lead
-        q = dq = 0
-        for c in reversed(monic):
-            dq = dq * n + q
-            q = q * n + c
+        q, dq = mp.polyval(monic_desc, n, derivative=True)
         return dq * mp.power(q, -s)
 
     with mp.extradps(_growth_digits(w0, cut)):
@@ -395,9 +400,7 @@ def _continuation_mp(plan: ContinuationPlan, s):
         with mp.extradps(extra):
             while n < block_end:
                 if chi(n) != 0:
-                    partial, x = 0, mp.mpf(1) / n
-                    for c in reversed(coeffs):
-                        partial = partial * x + c
+                    partial = mp.polyval(coeffs_desc, mp.mpf(1) / n)
                     power = mp.power(n, -w0)
                     term = summand(n) - power * partial  # n^-w0 x^(N+1) rho(x)
                     rho_bound = max(rho_bound, abs(term) * mp.power(n, sigma_rem))
@@ -425,7 +428,6 @@ def direct_sum(
     s: complex,
     epsilon: float = 1e-10,
     max_terms: int = 10_000_000,
-    margin: float = 0.1,
 ) -> complex:
     """Partial sum of the defining series on its convergence half-plane.
 
@@ -433,8 +435,8 @@ def direct_sum(
     continuation evaluator, kept deliberately naive.
     """
     s = complex(s)
-    if s.real <= 1 + margin:
-        raise ConvergenceError(f"need Re(s) > {1 + margin}")
+    if s.real <= 1.1:
+        raise ConvergenceError("need Re(s) > 1.1")
     d = poly.degree
     if d < 1:
         raise InvalidPolynomial("need degree >= 1")

@@ -48,7 +48,9 @@ class PoleError(DomainError):
 
 class ConvergenceError(DomainError):
     """Direct summation requested outside its half-plane of convergence, or
-    no Euler-Maclaurin cut within 2^14 periods past the tail start (huge |s|)."""
+    a continuation that would need a Taylor order above 2^14 (Re(s) far to
+    the left) or an Euler-Maclaurin cut more than 2^14 periods past the tail
+    start (huge |s|)."""
 
 
 class BudgetExceeded(LfunpolyError):

@@ -40,12 +40,16 @@ from .series import series_divide  # noqa: F401
 
 @dataclass(frozen=True)
 class PsiTable:
-    """Moments mu_m = numerators[m] / denominator for m = 0 ... max_degree."""
+    """Moments mu_m = numerators[m] / denominator for m = 0 ... max_degree,
+    where max_degree = len(numerators) - 1."""
 
     chi: PeriodicFunction
-    max_degree: int
     numerators: Tuple[int, ...]
     denominator: int
+
+    @property
+    def max_degree(self) -> int:
+        return len(self.numerators) - 1
 
     @cached_property
     def moments(self) -> Tuple[Fraction, ...]:
@@ -114,7 +118,7 @@ def psi_table(chi: PeriodicFunction, max_degree: int) -> PsiTable:
                 break
             total += binomials[k] * bk * power_sums[m - k]
         numerators.append(total)
-    return PsiTable(chi, max_degree, tuple(numerators), N * b_den * chi_den)
+    return PsiTable(chi, tuple(numerators), N * b_den * chi_den)
 
 
 def psi_apply(table: PsiTable, q: Polynomial) -> Fraction:

@@ -3,8 +3,9 @@
 Aberth-Ehrlich iteration on all roots at once, with a residual check.
 The continuation works from P's exact coefficients and takes from the roots
 only the radius max|a_j|, in doubles, which places the start of its Taylor
-tail.  ``refine_roots`` polishes roots to higher precision for callers that
-want them; the numeric engine does not.
+tail.  ``refine_roots`` polishes roots to higher precision; the numeric
+engine does not call it, and it stays for the tests and for
+perfbench/tracer.py, which wraps it by name.
 """
 
 from __future__ import annotations
@@ -89,10 +90,8 @@ def aberth(coeffs: Sequence[complex], tol: float = 1e-12) -> List[complex]:
 def refine_roots(poly: Polynomial, roots: Sequence[complex], dps: int):
     """Newton-polish double-precision roots against the exact coefficients.
 
-    Returns mpmath complex numbers at the requested precision; essential
-    because downstream values can be ~1e6 with absolute tolerances of 1e-8,
-    which double-precision roots cannot support.  Simple roots only (all
-    intended inputs); a vanishing derivative leaves the root as is.
+    Returns mpmath complex numbers at the requested precision.  Simple
+    roots only; a vanishing derivative leaves the root as is.
     """
     from mpmath import mp
 

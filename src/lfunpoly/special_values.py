@@ -35,14 +35,6 @@ class LValueRequest:
     offset_A: int = 1
 
 
-@dataclass(frozen=True)
-class FamilyPolynomial:
-    """The degree-m member of the u-family: a polynomial in u."""
-
-    m: int
-    value: Polynomial
-
-
 def validate_poly(poly: Polynomial, positive_from: Optional[int] = None) -> None:
     """Reject a P outside the contract of the engines.
 
@@ -59,11 +51,10 @@ def validate_poly(poly: Polynomial, positive_from: Optional[int] = None) -> None
     lead = ints[-1]
     if lead <= 0:
         raise InvalidPolynomial("leading coefficient must be positive")
+    q = Polynomial(ints)
     first_negative = None
     for n in range(1, 2 + max((-c for c in ints if c < 0), default=0) // lead):
-        acc = 0
-        for c in reversed(ints):
-            acc = acc * n + c
+        acc = q(n)
         if acc == 0:
             raise InvalidPolynomial(f"polynomial vanishes at n={n}")
         if acc < 0 and positive_from is not None and n >= positive_from:
@@ -119,8 +110,9 @@ def l_negative(req: LValueRequest, table: PsiTable) -> Fraction:
 # -- parametric family ------------------------------------------------
 
 
-def family_pm(chi: PeriodicFunction, m: int, table: PsiTable) -> FamilyPolynomial:
-    """Member m of the family: the moment form on (X(X+u))^m, divided by m.
+def family_pm(chi: PeriodicFunction, m: int, table: PsiTable) -> Polynomial:
+    """Member m of the family, a polynomial in u: the moment form on
+    (X(X+u))^m, divided by m.
 
     (X(X+u))^m = sum_j C(m,j) u^j X^(2m-j), so u^j has coefficient
     C(m,j) mu_{2m-j} / m; the table needs degree 2m.
@@ -133,12 +125,9 @@ def family_pm(chi: PeriodicFunction, m: int, table: PsiTable) -> FamilyPolynomia
             f"degree {2 * m} exceeds table degree {table.max_degree}"
         )
     num, den = table.numerators, m * table.denominator
-    value = Polynomial([Fraction(comb(m, j) * num[2 * m - j], den) for j in range(m + 1)])
-    return FamilyPolynomial(m=m, value=value)
+    return Polynomial([Fraction(comb(m, j) * num[2 * m - j], den) for j in range(m + 1)])
 
 
-def family_sequence(
-    chi: PeriodicFunction, m_max: int, table: PsiTable
-) -> List[FamilyPolynomial]:
-    """Members 1 ... m_max."""
+def family_sequence(chi: PeriodicFunction, m_max: int, table: PsiTable) -> List[Polynomial]:
+    """Members 1 ... m_max as polynomials in u, member m at index m - 1."""
     return [family_pm(chi, m, table) for m in range(1, m_max + 1)]

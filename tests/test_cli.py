@@ -174,6 +174,44 @@ def test_exact_outputs_unchanged(capsys, chi, command):
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == EXACT_OUTPUTS[chi, command]
 
 
+# sha256 of the text and csv stdout of `family` and `congruence`, with the
+# exit code, recorded before the family members became plain polynomials;
+# 7 divides the denominator of the period-5 family's third member
+RENDERED_COMMANDS = {
+    "family": ["family", "--m-range", "1..9"],
+    "congruence": ["congruence", "--p", "7", "--periods", "2"],
+}
+RENDERED_OUTPUTS = {
+    ("chi3", "family", "text"): (
+        0, "abef829d486b7ef58d43fd165d9f4916ebfff37b9061ad1230b90ef2364bb814"
+    ),
+    ("chi3", "family", "csv"): (
+        0, "570a7da4b6def2466985ad0ccecc7fa946e24a232ecf6b6a667153af8ac29044"
+    ),
+    ("chi3", "congruence", "text"): (
+        0, "2d1921f0636d927e082f52b2da781bb782eb52f8082911958c01684509b17d8c"
+    ),
+    ("chi3", "congruence", "csv"): (
+        0, "1ae5b18d394f0a3250e3babc7ac48f4ebf295ea5107dc7fc29282a79bf7b86dd"
+    ),
+    ("period=5;values=1,2,-1,0,3", "family", "text"): (
+        0, "2b7e5affaa5cab8aba6d3ccb27a9794a714925bc9114f9f70cdc4c8fed85056a"
+    ),
+    ("period=5;values=1,2,-1,0,3", "family", "csv"): (
+        0, "5d6a3762488b533b8093e9458c868ec29cef57a47916e6797090672772aa0451"
+    ),
+    ("period=5;values=1,2,-1,0,3", "congruence", "text"): (2, EMPTY),
+    ("period=5;values=1,2,-1,0,3", "congruence", "csv"): (2, EMPTY),
+}
+
+
+@pytest.mark.parametrize("chi, command, fmt", list(RENDERED_OUTPUTS))
+def test_rendered_outputs_unchanged(capsys, chi, command, fmt):
+    name, *rest = RENDERED_COMMANDS[command]
+    code, out, _ = run(capsys, "--format", fmt, name, "--chi", chi, *rest)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == RENDERED_OUTPUTS[chi, command, fmt]
+
+
 # -- failure modes ----------------------------------------------------
 
 
@@ -300,6 +338,40 @@ print(json.dumps(results))
     assert (code1, v1) == (0, "1/3")
     assert (code2, v2) == (0, "1000000000000000000000000000000/3")
     assert max(t1, t2) < 2.0
+
+
+def test_out_of_contract_arguments_exit_in_time():
+    # p and periods are checked before the moment table of degree
+    # 2 (1 + (periods + 1)(p - 1)) is built, and a Taylor order above the
+    # cap is refused before any coefficient is computed
+    script = """
+import contextlib, io, json, time
+from lfunpoly.cli import main
+results = []
+for argv in (
+    ["congruence", "--chi", "chi3", "--p", "1000000"],
+    ["congruence", "--chi", "chi3", "--p", "-7"],
+    ["congruence", "--chi", "chi3", "--p", "7", "--periods", "-5"],
+    ["eval", "--chi", "chi3", "--poly", "0,1,1", "--s=-1e300"],
+    ["eval", "--chi", "chi3", "--poly", "0,1,1", "--s=-1e4"],
+):
+    err, start = io.StringIO(), time.perf_counter()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    results.append([code, json.loads(err.getvalue())["detail"], time.perf_counter() - start])
+print(json.dumps(results))
+"""
+    results = json.loads(run_fresh(script, timeout=30))
+    details = [detail for _, detail, _ in results]
+    assert [code for code, _, _ in results] == [EXIT_DOMAIN] * 5
+    assert details[:3] == [
+        "p must be a prime greater than 3",
+        "p must be a prime greater than 3",
+        "periods must be >= 1",
+    ]
+    assert all(detail.startswith("Taylor order N=") for detail in details[3:])
+    assert max(len(detail) for detail in details) < 200
+    assert max(elapsed for _, _, elapsed in results) < 2.0
 
 
 @pytest.mark.parametrize("s", ["1e300", "1e300i", "1e200+1e200i"])

@@ -441,7 +441,7 @@ def test_plan_from_roots_holds_the_exact_polynomial():
 
 def test_eval_path_never_polishes_roots(monkeypatch, capsys):
     # the engine works from P's exact coefficients; refine_roots stays only
-    # as a public helper
+    # for the tests and perfbench/tracer.py
     def refuse(*args, **kwargs):
         raise AssertionError("refine_roots called")
 

@@ -11,14 +11,13 @@ from lfunpoly import (
     DomainError,
     PeriodicFunction,
     Polynomial,
-    TruncatedSeries,
     chi3,
     chi4,
     const_one,
     psi_apply,
     psi_table,
-    series_divide,
 )
+from lfunpoly.series import TruncatedSeries, series_divide
 from checks import check_shift_identity
 
 # values of the conductor-3 moment table, from the generating series
@@ -198,5 +197,5 @@ def _series_moments(chi, max_degree):
 )
 def test_moments_match_series_division(chi, max_degree):
     table = psi_table(chi, max_degree)
-    assert table.max_degree == max_degree
+    assert table.max_degree == max_degree == len(table.numerators) - 1
     assert list(table.moments) == _series_moments(chi, max_degree)

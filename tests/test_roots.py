@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from lfunpoly import InvalidPolynomial, Polynomial, find_roots, refine_roots
+from lfunpoly import InvalidPolynomial, Polynomial, find_roots
+from lfunpoly.roots import refine_roots
 
 numpy = pytest.importorskip("numpy")
 

@@ -4,12 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lfunpoly import (
-    DivisionByZeroSeries,
-    TruncatedSeries,
-    ValuationError,
-    series_divide,
-)
+from lfunpoly.errors import DivisionByZeroSeries, ValuationError
+from lfunpoly.series import TruncatedSeries, series_divide
 
 
 def test_exp_series_factorial_recurrence():
